@@ -13,7 +13,6 @@ from .bernoulli import (
     character_power_sums,
     generalized_bernoulli_exact,
     generalized_bernoulli_mod,
-    warm_bernoulli_cache,
 )
 from .irregularity import (
     IndexRecord,
@@ -111,6 +110,5 @@ __all__ = [
     "significance",
     "special_value",
     "validate_siegel_gate",
-    "warm_bernoulli_cache",
     "zeta_d_exact",
 ]

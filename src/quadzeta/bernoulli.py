@@ -14,6 +14,7 @@ needed on the modular path.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -48,63 +49,123 @@ def bernoulli_exact(n: int) -> Fraction:
     return _exact_cache[n]
 
 
-def warm_bernoulli_cache(n: int = 100) -> None:
-    """Fill the exact cache up to B_n; later reads are then lock-free."""
-    bernoulli_exact(n - n % 2)
+def _np_safe(p: int, modulus: int) -> bool:
+    """True when a sum of p + 1 products of residues mod modulus fits in int64.
+
+    Every convolution and dot product below has at most p terms per output.
+    """
+    return (p + 1) * modulus * modulus < _INT64_BUDGET
 
 
-def _modulus_fits_int64(count: int, modulus: int) -> bool:
-    return count * modulus * modulus < _INT64_BUDGET
+def _residue_dtype(p: int, modulus: int):
+    """int64 where _np_safe holds, else object (exact Python ints)."""
+    return np.int64 if _np_safe(p, modulus) else object
 
 
-@lru_cache(maxsize=None)
-def bernoulli_residues_mod(p: int, modulus: int) -> tuple[int, ...]:
+def _pow_range(base: int, count: int, modulus: int, dtype) -> np.ndarray:
+    """[base^0, ..., base^(count-1)] mod modulus, doubling the filled prefix."""
+    out = np.ones(count, dtype=dtype)
+    n, step = 1, base % modulus  # step = base^n
+    while n < count:
+        out[n : 2 * n] = out[: min(n, count - n)] * step % modulus
+        n, step = 2 * n, step * step % modulus
+    return out
+
+
+def _prefix_products(x: np.ndarray, modulus: int) -> np.ndarray:
+    """x[0] x[1] ... x[j] mod modulus for every j, in log2(len(x)) vector steps."""
+    shift = 1
+    while shift < len(x):
+        x[shift:] = x[shift:] * x[:-shift] % modulus
+        shift *= 2
+    return x
+
+
+@lru_cache(maxsize=128)
+def _factorials(p: int, modulus: int) -> tuple[np.ndarray, np.ndarray]:
+    """(j!, 1/j!) mod modulus for 0 <= j <= p - 1, where every j! is a unit."""
+    dtype = _residue_dtype(p, modulus)
+    ramp = np.arange(p).astype(dtype)
+    ramp[0] = 1
+    fact = _prefix_products(ramp, modulus)  # [0!, 1!, ..., (p-1)!]
+    ramp = np.arange(p, 0, -1).astype(dtype)
+    ramp[0] = 1
+    tails = _prefix_products(ramp, modulus)[::-1]  # tails[j] = (p-1)! / j!
+    inv_fact = tails * pow(int(fact[-1]), -1, modulus) % modulus
+    fact.setflags(write=False)
+    inv_fact.setflags(write=False)
+    return fact, inv_fact
+
+
+def _egf_product(a: np.ndarray, b: np.ndarray, modulus: int, n_terms: int) -> np.ndarray:
+    """The first n_terms coefficients of the power series a * b, mod modulus."""
+    a, b = a[:n_terms], b[:n_terms]
+    if a.dtype == np.int64:
+        # each coefficient sums at most min(len) products of residues below modulus
+        assert min(len(a), len(b)) * modulus * modulus < _INT64_BUDGET
+    return np.convolve(a, b)[:n_terms] % modulus
+
+
+def _egf_inverse(f: np.ndarray, n_terms: int, modulus: int) -> np.ndarray:
+    """1 / f mod (t^n_terms, modulus) by Newton iteration g <- g (2 - f g); f[0] = 1."""
+    g = np.ones(1, dtype=f.dtype)
+    n = 1
+    while n < n_terms:
+        n = min(2 * n, n_terms)
+        e = -_egf_product(f, g, modulus, n) % modulus
+        e[0] = (e[0] + 2) % modulus
+        g = _egf_product(g, e, modulus, n)
+    return g
+
+
+@lru_cache(maxsize=256)
+def bernoulli_residues_mod(p: int, modulus: int) -> np.ndarray:
     """B_j mod modulus for 0 <= j <= p - 2, where modulus is a power of p.
 
-    Every division in the recurrence is by j + 1 <= p - 1, hence invertible.
+    Returns a read-only array, int64 or object as _residue_dtype decides.
+
+    B_j / j! are the coefficients of t / (e^t - 1), the inverse of the series
+    (e^t - 1) / t.  Apart from its B_1 t term that series is the even function
+    (t/2) coth(t/2), so the inverse is taken in u = t^2 at half the length:
+    with x = t/2, sum_k B_2k 4^k u^k / (2k)! = cosh(x) / (sinh(x) / x), whose
+    coefficients 1/(2k)! and 1/(2k+1)! are units for 2k + 1 <= p - 2.
     B_{p-1} is excluded: p divides its denominator.
     """
-    n_max = p - 2
-    if _modulus_fits_int64(n_max + 2, modulus):
-        out = _bernoulli_residues_np(n_max, modulus)
-    else:
-        out = _bernoulli_residues_py(n_max, modulus)
-    return tuple(int(v) for v in out)
+    fact, inv_fact = _factorials(p, modulus)
+    half = (p - 1) // 2
+    sinhc_inv = _egf_inverse(inv_fact[1:p:2], half, modulus)
+    even = _egf_product(inv_fact[0 : p - 1 : 2], sinhc_inv, modulus, half)
+    quarter_powers = _pow_range(pow(4, -1, modulus), half, modulus, fact.dtype)
+    out = np.zeros(p - 1, dtype=fact.dtype)
+    out[0::2] = even * fact[0 : p - 1 : 2] % modulus * quarter_powers % modulus
+    out[1] = -pow(2, -1, modulus) % modulus
+    out.setflags(write=False)
+    return out
 
 
-def _bernoulli_residues_np(n_max: int, m: int) -> np.ndarray:
-    b = np.zeros(n_max + 1, dtype=np.int64)
-    b[0] = 1
-    if n_max >= 1:
-        b[1] = (-pow(2, -1, m)) % m
-    # row holds C(n+1, j); start at n = 1 with C(2, .) = (1, 2, 1)
-    row = np.array([1, 2, 1], dtype=np.int64)
-    for n in range(2, n_max + 1):
-        nxt = np.empty(n + 2, dtype=np.int64)
-        nxt[0] = 1
-        nxt[-1] = 1
-        nxt[1:-1] = (row[1:] + row[:-1]) % m
-        row = nxt
-        if n % 2 == 1:
-            continue
-        s = int(row[:n] @ b[:n]) % m
-        b[n] = (-s * pow(n + 1, -1, m)) % m
-    return b
+def _egf_numerators(d: int, p: int, modulus: int, sums, two_ms: Sequence[int]) -> dict[int, int]:
+    """N(n) = sum_{j<n} C(n,j) B_j d^j S_{n-j} mod modulus for the even n <= p - 1 given.
 
-
-def _bernoulli_residues_py(n_max: int, m: int) -> list[int]:
-    b = [0] * (n_max + 1)
-    b[0] = 1
-    if n_max >= 1:
-        b[1] = (-pow(2, -1, m)) % m
-    row = [1, 2, 1]
-    for n in range(2, n_max + 1):
-        row = [1] + [(row[i] + row[i + 1]) % m for i in range(len(row) - 1)] + [1]
-        if n % 2 == 1:
-            continue
-        s = sum(row[j] * b[j] for j in range(n) if b[j]) % m
-        b[n] = (-s * pow(n + 1, -1, m)) % m
-    return b
+    N(n) = n! [t^n] (A * S) with A_j = B_j d^j / j! and S_k = sums[k] / k!, so
+    one convolution gives every N(n).  A_j vanishes at odd j > 1, so the even
+    coefficients need only the even halves plus the A_1 S_{n-1} term.  The
+    j = n term is absent because S_0 = 0.  A single wanted n is one dot product.
+    """
+    n_max = max(two_ms)
+    fact, inv_fact = _factorials(p, modulus)
+    dtype = fact.dtype
+    bern = bernoulli_residues_mod(p, modulus)[:n_max]
+    a = bern * inv_fact[:n_max] % modulus * _pow_range(d, n_max, modulus, dtype) % modulus
+    s = np.asarray(sums[: n_max + 1], dtype=dtype) * inv_fact[: n_max + 1] % modulus
+    odd = a[1] * s[1::2] % modulus  # odd[h - 1] = A_1 S_{2h-1}
+    if len(two_ms) == 1:
+        h = n_max // 2
+        even = a[0::2][:h] @ s[n_max:0:-2] % modulus
+        return {n_max: int((even + odd[h - 1]) * fact[n_max] % modulus)}
+    even = _egf_product(a[0::2], s[0::2], modulus, n_max // 2 + 1)
+    hs = np.array(two_ms) // 2
+    vals = (even[hs] + odd[hs - 1]) % modulus * fact[2 * hs] % modulus
+    return dict(zip(two_ms, vals.tolist()))
 
 
 @dataclass(frozen=True)
@@ -126,7 +187,7 @@ def bernoulli_mod_table(p: int) -> ModularBernoulliTable:
     """B_n mod p for all even n <= p - 3 (von Staudt-Clausen keeps them integral)."""
     if not is_odd_prime(p):
         raise ValueError(f"{p} is not an odd prime")
-    return ModularBernoulliTable(prime=p, residues=bernoulli_residues_mod(p, p))
+    return ModularBernoulliTable(prime=p, residues=tuple(bernoulli_residues_mod(p, p).tolist()))
 
 
 @dataclass(frozen=True)
@@ -202,7 +263,7 @@ def generalized_bernoulli_exact(d: int, n: int) -> Fraction:
 
 
 def generalized_bernoulli_mod(d: int, n: int, p: int) -> int:
-    """B(n, chi_d) mod p via the modular Bernoulli table.
+    """B(n, chi_d) mod p, from the numerator N(n) = d * B(n, chi_d) of the EGF kernel.
 
     Requires p coprime to d (use the exact path otherwise), n even, n <= p - 1.
     """
@@ -215,11 +276,5 @@ def generalized_bernoulli_mod(d: int, n: int, p: int) -> int:
         raise ValueError("index must be a positive even integer")
     if n > p - 1:
         raise ValueError(f"index {n} exceeds p - 1 = {p - 1}")
-    bern = bernoulli_residues_mod(p, p)
     sums = character_power_sums(d, n, modulus=p).sums
-    total = 0
-    for j in range(n):
-        if j % 2 == 1 and j > 1:
-            continue
-        total += math.comb(n, j) % p * bern[j] * pow(d, j, p) * sums[n - j]
-    return total * pow(d, -1, p) % p
+    return _egf_numerators(d, p, p, sums, [n])[n] * pow(d, -1, p) % p

@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Subcommands: lvalue, zeta, index, scan, report, survey, stats.
-Exit codes: 0 success, 2 usage or validation error, 3 incomplete input.
+Exit codes: 0 success, 2 usage or validation error, 3 incomplete input,
+4 failed arithmetic check (the Siegel gate found a mismatch).
 
 Scans write CSV shards plus a manifest; reports and surveys consume those
 files without touching the compute modules again (the residue histogram is
@@ -24,6 +25,7 @@ from .numtheory import is_fundamental_discriminant, is_odd_prime, odd_primes_up_
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INCOMPLETE = 3
+EXIT_CHECK = 4
 
 
 class CommandError(Exception):
@@ -461,6 +463,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK
 
 
 if __name__ == "__main__":

@@ -30,7 +30,14 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bernoulli import bernoulli_mod_table, bernoulli_residues_mod
+from .bernoulli import (
+    _egf_numerators,
+    _np_safe,
+    _pow_range,
+    _residue_dtype,
+    bernoulli_mod_table,
+    bernoulli_residues_mod,
+)
 from .lvalues import (
     l_chi_exact,
     siegel_divisor_sums_mod,
@@ -48,9 +55,6 @@ from .numtheory import (
     smallest_prime_factors,
     validate_fundamental_discriminant,
 )
-
-_INT64_BUDGET = 2**62
-_PASCAL_MAX_PRIME = 128
 
 GRID_BLOCK = 1_000
 MILLION_BLOCK = 10_000
@@ -109,22 +113,6 @@ def delta(d: int, p: int) -> int:
 # modular kernel
 
 
-def _pow_range_np(base: int, count: int, modulus: int) -> np.ndarray:
-    """[base^0, ..., base^(count-1)] mod modulus, by binary decomposition."""
-    out = np.ones(count, dtype=np.int64)
-    if count <= 1:
-        return out
-    idx = np.arange(count)
-    cur = base % modulus
-    bit = 1
-    while bit < count:
-        mask = (idx & bit) != 0
-        out[mask] = out[mask] * cur % modulus
-        cur = cur * cur % modulus
-        bit <<= 1
-    return out
-
-
 @lru_cache(maxsize=64)
 def _power_matrix(modulus: int, k_max: int) -> np.ndarray:
     """mat[r, k] = r^k mod modulus for 0 <= r < modulus, 0 <= k <= k_max."""
@@ -137,41 +125,29 @@ def _power_matrix(modulus: int, k_max: int) -> np.ndarray:
     return mat
 
 
-@lru_cache(maxsize=256)
-def _pascal_matrix(p: int, modulus: int) -> np.ndarray:
-    """Lower-triangular C(n, j) mod modulus for 0 <= j <= n <= p - 1."""
-    mat = np.zeros((p, p), dtype=np.int64)
-    mat[0, 0] = 1
-    for n in range(1, p):
-        mat[n, 0] = 1
-        mat[n, 1 : n + 1] = (mat[n - 1, 1 : n + 1] + mat[n - 1, 0:n]) % modulus
-    mat.setflags(write=False)
-    return mat
-
-
-def _twisted_sums_mod(chi_vals: np.ndarray, modulus: int, k_max: int) -> np.ndarray:
-    """T_k = sum_a chi(a) a^k mod modulus for 0 <= k <= k_max.
+def _twisted_sums_mod(chi_vals: np.ndarray, modulus: int, k_max: int, dtype) -> np.ndarray:
+    """T_k = sum_a chi(a) a^k mod modulus for 0 <= k <= k_max, as dtype.
 
     Three routes: collapse a to residue classes when the modulus is smaller
     than the period (a^k mod m depends on a mod m only); per-a geometric
     rows for tiny periods; otherwise an incremental power sweep.
     """
     d = len(chi_vals) - 1
-    if modulus < d:
+    if modulus < d and dtype == np.int64:
         res = np.arange(1, d + 1, dtype=np.int64) % modulus
         c = np.bincount(res, weights=chi_vals[1:].astype(np.float64), minlength=modulus)
         c = np.rint(c).astype(np.int64) % modulus
         return c @ _power_matrix(modulus, k_max) % modulus
     chi64 = chi_vals.astype(np.int64)
     if d <= 64:
-        total = np.zeros(k_max + 1, dtype=np.int64)
+        total = np.zeros(k_max + 1, dtype=dtype)
         for a in range(1, d + 1):
             if chi64[a]:
-                total += chi64[a] * _pow_range_np(a, k_max + 1, modulus)
+                total += chi64[a] * _pow_range(a, k_max + 1, modulus, dtype)
         return total % modulus
-    a_vec = np.arange(1, d + 1, dtype=np.int64) % modulus
-    pw = np.ones(d, dtype=np.int64)
-    out = np.empty(k_max + 1, dtype=np.int64)
+    a_vec = (np.arange(1, d + 1, dtype=np.int64) % modulus).astype(dtype)
+    pw = np.ones(d, dtype=dtype)
+    out = np.empty(k_max + 1, dtype=dtype)
     weights = chi64[1:]
     for k in range(k_max + 1):
         out[k] = int(weights @ pw) % modulus
@@ -183,54 +159,12 @@ def _twisted_sums_mod(chi_vals: np.ndarray, modulus: int, k_max: int) -> np.ndar
 def _numerators_np(
     d: int, p: int, modulus: int, chi_vals: np.ndarray, two_ms: Sequence[int]
 ) -> dict[int, int]:
-    """N(n) = sum_{j<n} C(n,j) B_j d^j T_{n-j} mod modulus for the given even n."""
-    n_max = max(two_ms)
-    T = _twisted_sums_mod(chi_vals, modulus, n_max)
-    bern = np.array(bernoulli_residues_mod(p, modulus)[:n_max], dtype=np.int64)
-    g = bern * _pow_range_np(d, n_max, modulus) % modulus
-    out: dict[int, int] = {}
-    if p <= _PASCAL_MAX_PRIME:
-        pascal = _pascal_matrix(p, modulus)
-        for n in two_ms:
-            vec = pascal[n, :n] * g[:n] % modulus
-            out[n] = int(vec @ T[n:0:-1]) % modulus
-        return out
-    wanted = set(two_ms)
-    row = np.array([1, 1], dtype=np.int64)  # C(1, .)
-    for n in range(2, n_max + 1):
-        nxt = np.empty(n + 1, dtype=np.int64)
-        nxt[0] = 1
-        nxt[-1] = 1
-        nxt[1:-1] = (row[1:] + row[:-1]) % modulus
-        row = nxt
-        if n in wanted:
-            vec = row[:n] * g[:n] % modulus
-            out[n] = int(vec @ T[n:0:-1]) % modulus
-    return out
+    """N(n) = sum_{j<n} C(n,j) B_j d^j T_{n-j} mod modulus for the given even n <= p - 1.
 
-
-def _numerator_py(d: int, p: int, modulus: int, chi_vals, two_m: int) -> int:
-    """Arbitrary-modulus fallback for very deep valuations (plain integers)."""
-    bern = bernoulli_residues_mod(p, modulus)
-    support = [(a % modulus, int(chi_vals[a])) for a in range(1, d + 1) if chi_vals[a]]
-    T = []
-    powers = [1] * len(support)
-    for _ in range(two_m + 1):
-        T.append(sum(c * pw for (_, c), pw in zip(support, powers)) % modulus)
-        powers = [pw * a % modulus for (a, _), pw in zip(support, powers)]
-    total = 0
-    comb_row = 1
-    dj = 1
-    for j in range(two_m):
-        if not (j % 2 == 1 and j > 1):
-            total += comb_row * bern[j] % modulus * dj % modulus * T[two_m - j]
-        comb_row = comb_row * (two_m - j) // (j + 1)
-        dj = dj * d % modulus
-    return total % modulus
-
-
-def _np_safe(p: int, modulus: int) -> bool:
-    return (p + 1) * modulus * modulus < _INT64_BUDGET
+    int64 where _np_safe(p, modulus) holds, exact Python ints otherwise.
+    """
+    T = _twisted_sums_mod(chi_vals, modulus, max(two_ms), _residue_dtype(p, modulus))
+    return _egf_numerators(d, p, modulus, T, two_ms)
 
 
 def _max_np_exponent(p: int) -> int:
@@ -252,11 +186,7 @@ def _numerator_valuation(d: int, p: int, chi_vals, two_m: int) -> int:
     """Exact v_p of the numerator N(two_m), escalating the modulus as needed."""
     e = max(2, _max_np_exponent(p))
     while True:
-        modulus = p**e
-        if _np_safe(p, modulus):
-            n_val = _numerators_np(d, p, modulus, chi_vals, [two_m])[two_m]
-        else:
-            n_val = _numerator_py(d, p, modulus, chi_vals, two_m)
+        n_val = _numerators_np(d, p, p**e, chi_vals, [two_m])[two_m]
         if n_val:
             return _int_valuation(n_val, p)
         e *= 2
@@ -267,10 +197,7 @@ def _chi_hits_modular(d: int, p: int, chi_vals, strict: bool) -> list[tuple[int,
     v_d = 1 if d % p == 0 else 0
     detect_mod = p ** (1 + v_d)
     two_ms = list(range(2, p, 2))
-    if _np_safe(p, detect_mod):
-        nums = _numerators_np(d, p, detect_mod, chi_vals, two_ms)
-    else:
-        nums = {n: _numerator_py(d, p, detect_mod, chi_vals, n) for n in two_ms}
+    nums = _numerators_np(d, p, detect_mod, chi_vals, two_ms)
     hits = []
     for n in two_ms:
         residue = nums[n]

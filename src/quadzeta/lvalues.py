@@ -60,7 +60,7 @@ def l_chi_exact(d: int, m: int) -> Fraction:
 def l_chi_mod(d: int, m: int, p: int) -> int:
     """L(1 - 2m, chi_d) mod p; needs p coprime to d.
 
-    The modular recurrence route requires 2m <= p - 1; beyond that the
+    The modular (EGF-kernel) route requires 2m <= p - 1; beyond that the
     value is still p-integral (the conductor is not p), so it is computed
     exactly and reduced.
     """

@@ -65,6 +65,8 @@ def write_index_shard(path: Path, records: Iterable[IndexRecord]) -> None:
 
 
 def read_index_shard(path: Path) -> list[IndexRecord]:
+    """Parse an index shard, rejecting rows of the wrong arity or whose index
+    column disagrees with the number of hits."""
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -72,15 +74,16 @@ def read_index_shard(path: Path) -> list[IndexRecord]:
         if header != INDEX_HEADER:
             raise ValueError(f"{path} is not an index shard (header {header})")
         for row in reader:
-            records.append(
-                IndexRecord(
-                    discriminant=int(row[0]),
-                    prime=int(row[1]),
-                    delta=int(row[2]),
-                    kind="chi",
-                    hits=parse_hits(row[4]),
-                )
-            )
+            try:
+                d, p, delta, index, hits_text = row
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{reader.line_num}: expected 5 fields, got {len(row)}"
+                ) from None
+            hits = parse_hits(hits_text)
+            if int(index) != len(hits):
+                raise ValueError(f"{path}:{reader.line_num}: index {index} but {len(hits)} hits")
+            records.append(IndexRecord(int(d), int(p), int(delta), "chi", hits))
     return records
 
 
@@ -194,6 +197,8 @@ def read_manifest(directory: Path) -> ScanManifest:
 def load_records(directory: Path, allow_partial: bool = False) -> list[IndexRecord]:
     """Read every completed shard in range order; reject incomplete scans.
 
+    A completed shard must carry a digest, and its file must match it.
+
     Raises IncompleteScanError unless allow_partial is set; report commands
     map that onto the dedicated exit code.
     """
@@ -205,7 +210,9 @@ def load_records(directory: Path, allow_partial: bool = False) -> list[IndexReco
         if not entry.complete:
             continue
         path = directory / entry.name
-        if entry.digest and file_digest(path) != entry.digest:
+        if not entry.digest:
+            raise ValueError(f"shard {entry.name} is marked complete but has no digest")
+        if file_digest(path) != entry.digest:
             raise ValueError(f"digest mismatch for shard {entry.name}")
         records.extend(read_index_shard(path))
     return records

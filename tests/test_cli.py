@@ -206,6 +206,19 @@ def test_million_smoke_via_cli(capsys, tmp_path):
     assert code == 0 and "totals chi-squared" in text
 
 
+def test_gate_mismatch_exits_with_check_code(capsys, tmp_path, monkeypatch):
+    from quadzeta import lvalues
+
+    def mismatch(limit=1000):
+        raise ArithmeticError("divisor-sum route disagrees at D=5, m=1")
+
+    monkeypatch.setattr(lvalues, "validate_siegel_gate", mismatch)
+    code, _, err = run(capsys, "scan", "--kind", "million", "--dmax", "3000",
+                       "--out", str(tmp_path / "gate"))
+    assert code == 4
+    assert err.startswith("error: divisor-sum route disagrees")
+
+
 def test_main_module_entry():
     import subprocess, sys
 

@@ -102,6 +102,27 @@ def test_load_records_checks_digest(tmp_path):
         load_records(tmp_path)
 
 
+def test_load_records_requires_digest_of_complete_shard(tmp_path):
+    shard = tmp_path / "s.csv"
+    write_index_shard(shard, _records())
+    manifest = ScanManifest(kind="grid", shards=[ShardEntry("s.csv", 2, 10, "", True)])
+    write_manifest(tmp_path, manifest)
+    with pytest.raises(ValueError, match="no digest"):
+        load_records(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [("5,7,6,2,2:1", "index 2 but 1 hits"), ("5,7,6,0", "expected 5 fields"),
+     ("5,7,6,1,2:1,x", "expected 5 fields")],
+)
+def test_index_shard_rejects_inconsistent_rows(tmp_path, row, problem):
+    path = tmp_path / "shard.csv"
+    path.write_text(f"D,p,delta,index,hits\n5,3,2,0,\n{row}\n")
+    with pytest.raises(ValueError, match=problem):
+        read_index_shard(path)
+
+
 def test_atomic_write_leaves_no_temp(tmp_path):
     path = tmp_path / "x.csv"
     write_index_shard(path, _records())
