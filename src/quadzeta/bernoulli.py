@@ -14,6 +14,7 @@ needed on the modular path.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,12 +63,16 @@ def _residue_dtype(p: int, modulus: int):
     return np.int64 if _np_safe(p, modulus) else object
 
 
-def _pow_range(base: int, count: int, modulus: int, dtype) -> np.ndarray:
-    """[base^0, ..., base^(count-1)] mod modulus, doubling the filled prefix."""
-    out = np.ones(count, dtype=dtype)
-    n, step = 1, base % modulus  # step = base^n
+def _pow_range(base, count: int, modulus: int, dtype) -> np.ndarray:
+    """[base^0, ..., base^(count-1)] mod modulus along a new last axis.
+
+    base is an int or an integer array; the filled prefix doubles each step.
+    """
+    base = np.asarray(np.asarray(base).astype(dtype) % modulus, dtype=dtype)
+    out = np.ones(base.shape + (count,), dtype=dtype)
+    n, step = 1, base[..., None]  # step = base^n
     while n < count:
-        out[n : 2 * n] = out[: min(n, count - n)] * step % modulus
+        out[..., n : 2 * n] = out[..., : min(n, count - n)] * step % modulus
         n, step = 2 * n, step * step % modulus
     return out
 
@@ -98,12 +103,24 @@ def _factorials(p: int, modulus: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _egf_product(a: np.ndarray, b: np.ndarray, modulus: int, n_terms: int) -> np.ndarray:
-    """The first n_terms coefficients of the power series a * b, mod modulus."""
-    a, b = a[:n_terms], b[:n_terms]
+    """The first n_terms coefficients of the power series a * b, mod modulus.
+
+    2-D inputs hold one series per row; the loop runs over the shorter axis,
+    rows (one convolution each) or coefficients (one shifted product each).
+    """
+    a, b = a[..., :n_terms], b[..., :n_terms]
     if a.dtype == np.int64:
         # each coefficient sums at most min(len) products of residues below modulus
-        assert min(len(a), len(b)) * modulus * modulus < _INT64_BUDGET
-    return np.convolve(a, b)[:n_terms] % modulus
+        assert min(a.shape[-1], b.shape[-1]) * modulus * modulus < _INT64_BUDGET
+    if a.ndim == 1:
+        return np.convolve(a, b)[:n_terms] % modulus
+    if len(a) < n_terms:
+        return np.stack([np.convolve(x, y)[:n_terms] for x, y in zip(a, b)]) % modulus
+    out = np.zeros((len(a), n_terms), dtype=a.dtype)
+    for i in range(a.shape[1]):
+        width = min(n_terms - i, b.shape[1])
+        out[:, i : i + width] += a[:, i : i + 1] * b[:, :width]
+    return out % modulus
 
 
 def _egf_inverse(f: np.ndarray, n_terms: int, modulus: int) -> np.ndarray:
@@ -143,29 +160,31 @@ def bernoulli_residues_mod(p: int, modulus: int) -> np.ndarray:
     return out
 
 
-def _egf_numerators(d: int, p: int, modulus: int, sums, two_ms: Sequence[int]) -> dict[int, int]:
-    """N(n) = sum_{j<n} C(n,j) B_j d^j S_{n-j} mod modulus for the even n <= p - 1 given.
+def _egf_numerators(discs, p: int, modulus: int, sums, two_ms: Sequence[int]) -> np.ndarray:
+    """N(n) = sum_{j<n} C(n,j) B_j D^j S_{n-j} mod modulus for the even n <= p - 1 given.
 
-    N(n) = n! [t^n] (A * S) with A_j = B_j d^j / j! and S_k = sums[k] / k!, so
-    one convolution gives every N(n).  A_j vanishes at odd j > 1, so the even
-    coefficients need only the even halves plus the A_1 S_{n-1} term.  The
-    j = n term is absent because S_0 = 0.  A single wanted n is one dot product.
+    One row per D in discs, with sums[i] holding S_0, S_1, ... for that D, and
+    one column per n in two_ms.  N(n) = n! [t^n] (A * S) with A_j = B_j D^j / j!
+    and S_k = sums[k] / k!, so one (row-batched) convolution gives every N(n).
+    A_j vanishes at odd j > 1, so the even coefficients need only the even
+    halves plus the A_1 S_{n-1} term.  The j = n term is absent because S_0 = 0.
+    A single wanted n is one dot product per row.
     """
     n_max = max(two_ms)
     fact, inv_fact = _factorials(p, modulus)
     dtype = fact.dtype
     bern = bernoulli_residues_mod(p, modulus)[:n_max]
-    a = bern * inv_fact[:n_max] % modulus * _pow_range(d, n_max, modulus, dtype) % modulus
-    s = np.asarray(sums[: n_max + 1], dtype=dtype) * inv_fact[: n_max + 1] % modulus
-    odd = a[1] * s[1::2] % modulus  # odd[h - 1] = A_1 S_{2h-1}
-    if len(two_ms) == 1:
-        h = n_max // 2
-        even = a[0::2][:h] @ s[n_max:0:-2] % modulus
-        return {n_max: int((even + odd[h - 1]) * fact[n_max] % modulus)}
-    even = _egf_product(a[0::2], s[0::2], modulus, n_max // 2 + 1)
-    hs = np.array(two_ms) // 2
-    vals = (even[hs] + odd[hs - 1]) % modulus * fact[2 * hs] % modulus
-    return dict(zip(two_ms, vals.tolist()))
+    a = bern * inv_fact[:n_max] % modulus * _pow_range(discs, n_max, modulus, dtype) % modulus
+    s = np.asarray(sums, dtype=dtype)[:, : n_max + 1] * inv_fact[: n_max + 1] % modulus
+    odd = a[:, 1:2] * s[:, 1::2] % modulus  # odd[:, h - 1] = A_1 S_{2h-1}
+    hs = np.asarray(two_ms) // 2
+    if len(hs) == 1:
+        if dtype == np.int64:
+            assert hs[0] * modulus * modulus < _INT64_BUDGET
+        even = (a[:, 0::2][:, : hs[0]] * s[:, n_max:0:-2]).sum(axis=1, keepdims=True)
+    else:
+        even = _egf_product(a[:, 0::2], s[:, 0::2], modulus, n_max // 2 + 1)[:, hs]
+    return (even + odd[:, hs - 1]) % modulus * fact[2 * hs] % modulus
 
 
 @dataclass(frozen=True)
@@ -206,16 +225,22 @@ class CharacterPowerSums:
         return self.sums[k]
 
 
-# Exact power sums grow on demand per discriminant and are reused heavily by
-# the cross-validation gates.
-_exact_sums_cache: dict[int, list[int]] = {}
+# Exact power sums grow on demand per discriminant (kept with the character
+# values they extend from) and are reused heavily by the cross-validation
+# gates: an LRU over discriminants, sized above the 302 fundamental D < 1000
+# of validate_siegel_gate so the gate never recomputes.
+_EXACT_SUMS_CACHE_SIZE = 512
+_exact_sums_cache: OrderedDict[int, tuple[np.ndarray, list[int]]] = OrderedDict()
 
 
 def _exact_power_sums(d: int, k_max: int) -> list[int]:
-    sums = _exact_sums_cache.setdefault(d, [])
+    entry = _exact_sums_cache.pop(d, None) or (character_values(d), [])
+    _exact_sums_cache[d] = entry
+    if len(_exact_sums_cache) > _EXACT_SUMS_CACHE_SIZE:
+        _exact_sums_cache.popitem(last=False)
+    chi, sums = entry
     if len(sums) > k_max:
         return sums
-    chi = character_values(d)
     support = [(a, int(chi[a])) for a in range(1, d + 1) if chi[a]]
     powers = {a: a ** len(sums) for a, _ in support}
     while len(sums) <= k_max:
@@ -277,4 +302,4 @@ def generalized_bernoulli_mod(d: int, n: int, p: int) -> int:
     if n > p - 1:
         raise ValueError(f"index {n} exceeds p - 1 = {p - 1}")
     sums = character_power_sums(d, n, modulus=p).sums
-    return _egf_numerators(d, p, p, sums, [n])[n] * pow(d, -1, p) % p
+    return int(_egf_numerators([d], p, p, [sums], [n])[0, 0]) * pow(d, -1, p) % p

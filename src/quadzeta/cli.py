@@ -160,20 +160,28 @@ def _scan_plan(args):
     return manifest, blocks, task, sigma_tables
 
 
+def _fmt_params(params: dict) -> str:
+    return " ".join(f"{key}={value}" for key, value in sorted(params.items()))
+
+
 def cmd_scan(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest, blocks, task, sigma_tables = _scan_plan(args)
     if args.resume and (out / shards.MANIFEST_NAME).exists():
         previous = shards.read_manifest(out)
-        if previous.kind == manifest.kind and previous.params == manifest.params:
-            done = {(s.lo, s.hi): s for s in previous.shards if s.complete}
-            for entry in manifest.shards:
-                old = done.get((entry.lo, entry.hi))
-                if old and (out / old.name).exists():
-                    if shards.file_digest(out / old.name) == old.digest:
-                        entry.digest = old.digest
-                        entry.complete = True
+        if previous.kind != manifest.kind or previous.params != manifest.params:
+            raise CommandError(
+                f"--resume: {out} holds a {previous.kind} scan with {_fmt_params(previous.params)}, "
+                f"not a {manifest.kind} scan with {_fmt_params(manifest.params)}"
+            )
+        done = {(s.lo, s.hi): s for s in previous.shards if s.complete}
+        for entry in manifest.shards:
+            old = done.get((entry.lo, entry.hi))
+            if old and (out / old.name).exists():
+                if shards.file_digest(out / old.name) == old.digest:
+                    entry.digest = old.digest
+                    entry.complete = True
     pending = [
         (i, block)
         for i, block in enumerate(blocks)
@@ -349,8 +357,7 @@ def cmd_report(args) -> int:
         p = _require_odd_prime(args.mod)
         if d % p == 0:
             raise CommandError(f"histogram needs p coprime to the discriminant ({p} | {d})")
-        residues = [lvalues.l_chi_mod(d, m, p) for m in range(1, (p - 1) // 2 + 1)]
-        table = stats.residue_histogram(residues, p)
+        table = stats.residue_histogram(irregularity.l_chi_residues(d, p), p)
         _emit_distribution(table, fmt)
     else:
         raise CommandError(f"unknown table {args.table!r}")

@@ -15,9 +15,11 @@ multiplied by p (the Riemann factor contributes valuation -1 there).
 
 classical index: count of even n <= p - 3 with p dividing B_n.
 
-The scan kernels work with the numerator N(n) = D * B(n, chi), computed
-modulo prime powers: a hit is v_p(N) >= 1 + v_p(D), and valuations of the
-rare hits are refined by recomputation at a deeper prime power.
+The scan kernel works with the numerator N(n) = D * B(n, chi), computed
+modulo p^e for one prime and a whole block of discriminants at once: a hit
+is v_p(N) >= 1 + v_p(D), read off the residues together with its
+valuation; only a residue that is exactly 0 is recomputed at a deeper
+prime power.
 """
 
 from __future__ import annotations
@@ -31,10 +33,11 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .bernoulli import (
+    _INT64_BUDGET,
     _egf_numerators,
+    _factorials,
     _np_safe,
     _pow_range,
-    _residue_dtype,
     bernoulli_mod_table,
     bernoulli_residues_mod,
 )
@@ -46,13 +49,13 @@ from .lvalues import (
 )
 from .numtheory import (
     SigmaTable,
+    character_table,
     character_values,
     divisor_sigma_sieve,
     enumerate_fundamental_discriminants,
     is_odd_prime,
     odd_primes_up_to,
     p_adic_valuation,
-    smallest_prime_factors,
     validate_fundamental_discriminant,
 )
 
@@ -110,61 +113,13 @@ def delta(d: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# modular kernel
+# modular kernel: one prime, a matrix of discriminants
 
-
-@lru_cache(maxsize=64)
-def _power_matrix(modulus: int, k_max: int) -> np.ndarray:
-    """mat[r, k] = r^k mod modulus for 0 <= r < modulus, 0 <= k <= k_max."""
-    mat = np.empty((modulus, k_max + 1), dtype=np.int64)
-    mat[:, 0] = 1
-    res = np.arange(modulus, dtype=np.int64)
-    for k in range(1, k_max + 1):
-        mat[:, k] = mat[:, k - 1] * res % modulus
-    mat.setflags(write=False)
-    return mat
-
-
-def _twisted_sums_mod(chi_vals: np.ndarray, modulus: int, k_max: int, dtype) -> np.ndarray:
-    """T_k = sum_a chi(a) a^k mod modulus for 0 <= k <= k_max, as dtype.
-
-    Three routes: collapse a to residue classes when the modulus is smaller
-    than the period (a^k mod m depends on a mod m only); per-a geometric
-    rows for tiny periods; otherwise an incremental power sweep.
-    """
-    d = len(chi_vals) - 1
-    if modulus < d and dtype == np.int64:
-        res = np.arange(1, d + 1, dtype=np.int64) % modulus
-        c = np.bincount(res, weights=chi_vals[1:].astype(np.float64), minlength=modulus)
-        c = np.rint(c).astype(np.int64) % modulus
-        return c @ _power_matrix(modulus, k_max) % modulus
-    chi64 = chi_vals.astype(np.int64)
-    if d <= 64:
-        total = np.zeros(k_max + 1, dtype=dtype)
-        for a in range(1, d + 1):
-            if chi64[a]:
-                total += chi64[a] * _pow_range(a, k_max + 1, modulus, dtype)
-        return total % modulus
-    a_vec = (np.arange(1, d + 1, dtype=np.int64) % modulus).astype(dtype)
-    pw = np.ones(d, dtype=dtype)
-    out = np.empty(k_max + 1, dtype=dtype)
-    weights = chi64[1:]
-    for k in range(k_max + 1):
-        out[k] = int(weights @ pw) % modulus
-        if k < k_max:
-            pw = pw * a_vec % modulus
-    return out
-
-
-def _numerators_np(
-    d: int, p: int, modulus: int, chi_vals: np.ndarray, two_ms: Sequence[int]
-) -> dict[int, int]:
-    """N(n) = sum_{j<n} C(n,j) B_j d^j T_{n-j} mod modulus for the given even n <= p - 1.
-
-    int64 where _np_safe(p, modulus) holds, exact Python ints otherwise.
-    """
-    T = _twisted_sums_mod(chi_vals, modulus, max(two_ms), _residue_dtype(p, modulus))
-    return _egf_numerators(d, p, modulus, T, two_ms)
+# Largest int8 character table per row group of a grid block (rows x width),
+# and the largest block _twisted_sums builds at once in int64 or object dtype
+# (a slice of that table, or a slice of the powers r^k).
+_TABLE_ENTRIES = 1 << 21
+_CHUNK_ENTRIES = 1 << 18
 
 
 def _max_np_exponent(p: int) -> int:
@@ -172,6 +127,15 @@ def _max_np_exponent(p: int) -> int:
     while _np_safe(p, p ** (e + 1)):
         e += 1
     return e
+
+
+def _kernel_exponent(p: int, p_divides_d: bool) -> int:
+    """Residue depth e of the chi-index kernel: N is computed mod p^e.
+
+    As deep as int64 allows, and at least 2 when p divides some D of the
+    block, so that its hits (v_p(N) >= 2) are read directly.
+    """
+    return max(_max_np_exponent(p), 2 if p_divides_d else 1)
 
 
 def _int_valuation(n: int, p: int) -> int:
@@ -182,34 +146,121 @@ def _int_valuation(n: int, p: int) -> int:
     return v
 
 
-def _numerator_valuation(d: int, p: int, chi_vals, two_m: int) -> int:
-    """Exact v_p of the numerator N(two_m), escalating the modulus as needed."""
-    e = max(2, _max_np_exponent(p))
-    while True:
-        n_val = _numerators_np(d, p, p**e, chi_vals, [two_m])[two_m]
-        if n_val:
-            return _int_valuation(n_val, p)
-        e *= 2
+def _period_table(discs: Sequence[int]) -> np.ndarray:
+    """chi_D(a) for 0 <= a <= max(discs), zeroed beyond a = D: one period per row."""
+    width = discs[-1] + 1
+    table = character_table(discs, width)
+    table[np.arange(width) > np.asarray(discs)[:, None]] = 0
+    return table
 
 
-def _chi_hits_modular(d: int, p: int, chi_vals, strict: bool) -> list[tuple[int, int]]:
-    """Hits for D != p: all even 2m <= p - 1, hit when v_p(L(1-2m, chi)) >= 1."""
-    v_d = 1 if d % p == 0 else 0
-    detect_mod = p ** (1 + v_d)
-    two_ms = list(range(2, p, 2))
-    nums = _numerators_np(d, p, detect_mod, chi_vals, two_ms)
-    hits = []
-    for n in two_ms:
-        residue = nums[n]
-        if residue == 0:
-            v = _numerator_valuation(d, p, chi_vals, n) - v_d
-        elif strict:
-            v = _int_valuation(residue, p) - v_d
-        else:
-            continue
-        if v >= 1 or (strict and v != 0):
-            hits.append((n, v))
-    return hits
+def _twisted_sums(table: np.ndarray, p: int, e: int) -> np.ndarray:
+    """T[i, k] = sum_a table[i, a] a^k mod p^e for 0 <= k <= p - 1.
+
+    Writing a = r + p t, a^k = sum_{j<e} C(k, j) p^j t^j r^(k-j) (mod p^e), so
+    with the class moments Mom_j[i, r] = sum_t table[i, r + p t] t^j,
+
+        T_k / k! = sum_j (p^j / j!) G_j[i, k - j],  G_j[i, k] = sum_r Mom_j[i, r] r^k / k!.
+
+    Only j < p matters (k < p), and only j = 0 when the table is narrower
+    than p.  The moments are one contraction over t per chunk of rows; the
+    powers r^k are shared by every row and built a chunk of columns at a time.
+    """
+    modulus = p**e
+    fact, inv_fact = _factorials(p, modulus)
+    dtype = fact.dtype
+    rows, width = table.shape
+    n_t = -(-width // p)
+    n_r = min(p, width)
+    n_j = min(e, p) if n_t > 1 else 1
+    if dtype == np.int64:
+        # moments sum n_t terms below modulus; the r contraction n_r products
+        assert n_t * modulus < _INT64_BUDGET and n_r * modulus * modulus < _INT64_BUDGET
+    if n_t * n_r > width:
+        table = np.pad(table, ((0, 0), (0, n_t * n_r - width)))
+    t_pow = np.ascontiguousarray(_pow_range(np.arange(n_t), n_j, modulus, dtype).T)
+    step = max(1, _CHUNK_ENTRIES // (n_t * n_r))
+    moments = np.concatenate([
+        t_pow @ table[lo : lo + step].reshape(-1, n_t, n_r).astype(dtype) % modulus
+        for lo in range(0, rows, step)
+    ]).reshape(-1, n_r)  # row i * n_j + j holds Mom_j[i]
+    g = np.empty((len(moments), p), dtype=dtype)
+    r = np.arange(n_r).astype(dtype)
+    k_step = max(1, _CHUNK_ENTRIES // n_r)
+    r_pow = _pow_range(r, min(k_step, p), modulus, dtype)
+    r_shift = np.ones(n_r, dtype=dtype)  # r^k0
+    for k0 in range(0, p, k_step):
+        g[:, k0 : k0 + k_step] = moments @ (r_pow[:, : p - k0] * r_shift[:, None] % modulus) % modulus
+        r_shift = r_shift * r_pow[:, -1] % modulus * r % modulus
+    g = g.reshape(rows, n_j, p) * inv_fact % modulus
+    coef = _pow_range(p, n_j, modulus, dtype) * inv_fact[:n_j] % modulus
+    s = np.zeros((rows, p), dtype=dtype)
+    for j in range(n_j):
+        s[:, j:] += coef[j] * g[:, j, : p - j] % modulus
+    return s % modulus * fact % modulus
+
+
+def _numerator_residues(
+    table: np.ndarray, discs: Sequence[int], p: int, e: int, two_ms: Sequence[int]
+) -> np.ndarray:
+    """N(n) = D B(n, chi_D) mod p^e for each row and each even n <= p - 1 in two_ms.
+
+    table holds one period of chi_D per row (see _period_table).
+    """
+    sums = _twisted_sums(table, p, e)
+    return _egf_numerators(discs, p, p**e, sums, two_ms)
+
+
+def _chi_hits_batch(
+    table: np.ndarray, discs: Sequence[int], p: int, strict: bool = False
+) -> list[tuple[tuple[int, int], ...]]:
+    """Hit tuples of the chi-index, one per row of table (one period of chi_D each).
+
+    For D != p a hit is v_p(L(1-n, chi_D)) = v_p(N(n)) - v_p(D) >= 1, read off
+    the residues of N mod p^e.  A residue that is exactly 0 is recomputed at a
+    doubled exponent until it is not.  D = p takes the exact route.
+    """
+    d_arr = np.asarray(discs)
+    coprime = d_arr != p
+    v_d = (d_arr % p == 0).astype(np.int64)
+    e = _kernel_exponent(p, bool(v_d[coprime].any()))
+    two_ms = range(2, p, 2)
+    residues = _numerator_residues(table, discs, p, e, two_ms)
+    valuation = np.zeros(residues.shape, dtype=np.int64)
+    for power in (p**k for k in range(1, e)):
+        valuation += residues % power == 0
+    for i, h in zip(*np.nonzero((residues == 0) & coprime[:, None])):
+        depth, value = e, 0
+        while not value:
+            depth *= 2
+            value = int(_numerator_residues(table[i : i + 1], discs[i : i + 1], p, depth,
+                                            [two_ms[h]])[0, 0])
+        valuation[i, h] = _int_valuation(value, p)
+    valuation -= v_d[:, None]
+    found = (valuation >= 1) | (strict & (valuation != 0))
+    found &= coprime[:, None]
+    hits: list[list[tuple[int, int]]] = [[] for _ in discs]
+    rows, cols = np.nonzero(found)
+    for i, h, v in zip(rows.tolist(), cols.tolist(), valuation[found].tolist()):
+        hits[i].append((two_ms[h], v))
+    for i in np.flatnonzero(~coprime).tolist():
+        hits[i] = _chi_hits_exact(p, p, strict)
+    return [tuple(h) for h in hits]
+
+
+def l_chi_residues(d: int, p: int) -> list[int]:
+    """L(1-2m, chi_D) mod p for m = 1, ..., (p - 1)/2, from one kernel call.
+
+    L(1-2m, chi_D) = -N(2m) / (2m D); needs p coprime to D.
+    """
+    validate_fundamental_discriminant(d)
+    if not is_odd_prime(p):
+        raise ValueError(f"{p} is not an odd prime")
+    if d % p == 0:
+        raise ValueError(f"modular reduction needs p coprime to the discriminant ({p} | {d})")
+    nums = _numerator_residues(character_values(d)[None], [d], p, 1, range(2, p, 2))[0].tolist()
+    d_inv = pow(d, -1, p)
+    return [-n * d_inv * pow(2 * m, -1, p) % p for m, n in enumerate(nums, 1)]
 
 
 def _chi_hits_exact(d: int, p: int, strict: bool) -> list[tuple[int, int]]:
@@ -237,11 +288,8 @@ def chi_irregularity_index(d: int, p: int, strict: bool = False) -> IndexRecord:
     validate_fundamental_discriminant(d)
     if not is_odd_prime(p):
         raise ValueError(f"{p} is not an odd prime")
-    if d == p:
-        hits = _chi_hits_exact(d, p, strict)
-    else:
-        hits = _chi_hits_modular(d, p, character_values(d), strict)
-    return IndexRecord(d, p, delta(d, p), "chi", tuple(hits))
+    hits = _chi_hits_batch(character_values(d)[None], [d], p, strict)[0]
+    return IndexRecord(d, p, delta(d, p), "chi", hits)
 
 
 def d_irregularity_index(d: int, p: int, strict: bool = False) -> IndexRecord:
@@ -304,31 +352,28 @@ def _block_ranges(lo: int, hi: int, size: int) -> list[tuple[int, int]]:
 
 def compute_fixed_disc_block(d: int, p_lo: int, p_hi: int) -> list[IndexRecord]:
     """chi-index records for all odd primes in [p_lo, p_hi), fixed D."""
-    chi_vals = character_values(d)
+    table = character_values(d)[None]
     records = []
     for p in odd_primes_up_to(p_hi):
         if p < p_lo:
             continue
-        if d == p:
-            hits = _chi_hits_exact(d, p, strict=False)
-        else:
-            hits = _chi_hits_modular(d, p, chi_vals, strict=False)
-        records.append(IndexRecord(d, p, delta(d, p), "chi", tuple(hits)))
+        hits = _chi_hits_batch(table, [d], p)[0]
+        records.append(IndexRecord(d, p, delta(d, p), "chi", hits))
     return records
 
 
 def compute_grid_block(d_lo: int, d_hi: int, primes: tuple[int, ...]) -> list[IndexRecord]:
     """chi-index records for every fundamental D in [d_lo, d_hi) x given primes."""
-    spf = smallest_prime_factors(d_hi)
+    discs = enumerate_fundamental_discriminants(d_lo, d_hi)
     records = []
-    for d in enumerate_fundamental_discriminants(d_lo, d_hi):
-        chi_vals = character_values(d, spf)
-        for p in primes:
-            if d == p:
-                hits = _chi_hits_exact(d, p, strict=False)
-            else:
-                hits = _chi_hits_modular(d, p, chi_vals, strict=False)
-            records.append(IndexRecord(d, p, delta(d, p), "chi", tuple(hits)))
+    step = max(1, _TABLE_ENTRIES // d_hi)
+    for lo in range(0, len(discs), step):
+        group = discs[lo : lo + step]
+        table = _period_table(group)
+        by_prime = [_chi_hits_batch(table, group, p) for p in primes]
+        for i, d in enumerate(group):
+            for p, hits in zip(primes, by_prime):
+                records.append(IndexRecord(d, p, delta(d, p), "chi", hits[i]))
     return records
 
 

@@ -206,30 +206,70 @@ def p_adic_valuation(q, p: int) -> int | float:
 
 def smallest_prime_factors(limit: int) -> np.ndarray:
     """spf[n] = smallest prime factor of n for 2 <= n < limit (spf[0:2] = 0)."""
-    spf = np.zeros(max(limit, 2), dtype=np.int64)
-    for q in range(2, limit):
-        if spf[q] == 0:
-            spf[q::q] = np.where(spf[q::q] == 0, q, spf[q::q])
+    spf = np.arange(max(limit, 2), dtype=np.int64)
+    spf[:2] = 0
+    for q in range(2, math.isqrt(max(limit - 1, 0)) + 1):
+        if spf[q] == q:
+            multiples = spf[q * q :: q]
+            multiples[multiples == np.arange(q * q, limit, q)] = q
     return spf
 
 
-def character_values(d: int, spf: np.ndarray | None = None) -> np.ndarray:
-    """chi_d(a) for 0 <= a <= d as an int8 array, built multiplicatively.
+def _kronecker_at_primes(discs: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """(D/q) for every D in discs and prime q in primes, as an int8 matrix.
 
-    One Kronecker evaluation per prime below d; everything else follows from
-    complete multiplicativity via a smallest-prime-factor table.
+    Euler's criterion D^((q-1)/2) mod q for odd q, square-and-multiply with
+    one exponent per column; the mod-8 rule for q = 2.
     """
-    validate_fundamental_discriminant(d)
-    if spf is None:
-        spf = smallest_prime_factors(d + 1)
-    vals = np.zeros(d + 1, dtype=np.int8)
-    vals[1] = 1
-    for n in range(2, d + 1):
-        q = int(spf[n]) if n < len(spf) else n
-        if q == n or q == 0:
-            vals[n] = kronecker_symbol(d, n)
-        else:
-            vals[n] = vals[q] * vals[n // q]
+    d = discs[:, None]
+    odd = primes[primes > 2]
+    base = d % odd
+    power = np.ones_like(base)
+    exponent = (odd - 1) // 2
+    while exponent.any():
+        power = np.where(exponent & 1, power * base % odd, power)
+        base = base * base % odd
+        exponent >>= 1
+    out = np.empty((len(discs), len(primes)), dtype=np.int8)
+    out[:, primes > 2] = np.where(power == odd - 1, -1, power)
+    if primes[:1].tolist() == [2]:
+        out[:, 0] = np.where(d[:, 0] % 2 == 0, 0, np.where(np.isin(d[:, 0] % 8, (1, 7)), 1, -1))
+    return out
+
+
+def character_table(discs, width: int, spf: np.ndarray | None = None) -> np.ndarray:
+    """chi_D(a) for each D in discs and 0 <= a < width (width >= 2), as an int8 matrix.
+
+    Columns at primes come from _kronecker_at_primes; every other column
+    follows from complete multiplicativity, chi(a) = chi(spf(a)) chi(a / spf(a)),
+    by pointer doubling along the chains a -> a / spf(a) -> ... -> 1, so the
+    fill takes log2 of the largest prime-factor count in vector steps.
+    spf is reused when it covers the width and rebuilt otherwise.
+    """
+    for d in discs:
+        validate_fundamental_discriminant(int(d))
+    if spf is None or len(spf) < width:
+        spf = smallest_prime_factors(width)
+    spf = spf[:width]
+    cols = np.arange(width)
+    is_prime = spf[2:] == cols[2:]
+    primes, composite = cols[2:][is_prime], cols[2:][~is_prime]
+    table = np.zeros((len(discs), width), dtype=np.int8)
+    table[:, 1] = 1
+    table[:, primes] = _kronecker_at_primes(np.asarray(discs, dtype=np.int64), primes)
+    table[:, composite] = table[:, spf[composite]]
+    # invariant: chi(a) = table[a] * chi(rest[a]); primes, 0 and 1 start finished
+    rest = np.ones(width, dtype=np.int64)
+    rest[composite] = composite // spf[composite]
+    while (rest != 1).any():
+        table *= table[:, rest]
+        rest = rest[rest]
+    return table
+
+
+def character_values(d: int, spf: np.ndarray | None = None) -> np.ndarray:
+    """chi_d(a) for 0 <= a <= d as a read-only int8 array: one row of character_table."""
+    vals = character_table([d], d + 1, spf)[0]
     vals.setflags(write=False)
     return vals
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from quadzeta import bernoulli
 from quadzeta.bernoulli import (
     bernoulli_exact,
     bernoulli_mod_table,
@@ -152,3 +153,23 @@ def test_p_integrality_small_grid():
 
 def test_self_conductor_exceptional_denominator():
     assert p_adic_valuation(generalized_bernoulli_exact(5, 2), 5) == -1
+
+
+def test_exact_sums_cache_is_a_bounded_lru():
+    size = bernoulli._EXACT_SUMS_CACHE_SIZE
+    gate_discs = enumerate_fundamental_discriminants(2, 1000)
+    assert len(gate_discs) < size  # the Siegel gate never evicts its own entries
+    discs = enumerate_fundamental_discriminants(2, 4000)[: size + 100]
+    assert len(discs) == size + 100
+    for d in discs:
+        assert character_power_sums(d, 2)[0] == 0
+        assert len(bernoulli._exact_sums_cache) <= size
+    assert len(bernoulli._exact_sums_cache) == size
+    assert list(bernoulli._exact_sums_cache)[-1] == discs[-1]
+    assert discs[0] not in bernoulli._exact_sums_cache
+    # a hit moves its entry to the recent end, so the next miss evicts another
+    oldest, second = discs[-size], discs[-size + 1]
+    character_power_sums(oldest, 1)
+    character_power_sums(4001, 1)
+    assert oldest in bernoulli._exact_sums_cache
+    assert second not in bernoulli._exact_sums_cache

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from quadzeta import cli, lvalues, stats
 from quadzeta.cli import main
 from quadzeta.shards import MANIFEST_NAME, read_manifest
 
@@ -117,6 +118,21 @@ def test_scan_resume_is_byte_identical(tmp_path, small_grid):
     assert read_manifest(out).complete
 
 
+def test_resume_with_other_parameters_is_refused(capsys, tmp_path):
+    out = tmp_path / "other"
+    assert main(["scan", "--kind", "grid", "--dmax", "300", "--pmax", "20",
+                 "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    code, _, err = run(capsys, "scan", "--kind", "grid", "--dmax", "400", "--pmax", "20",
+                       "--out", str(out), "--resume")
+    assert code == 2
+    assert "dmax=300 pmax=20" in err and "dmax=400 pmax=20" in err
+    code, _, err = run(capsys, "scan", "--kind", "fixed-disc", "--disc", "5", "--pmax", "20",
+                       "--out", str(out), "--resume")
+    assert code == 2 and "grid scan" in err and "fixed-disc scan" in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_report_requires_complete_manifest(capsys, tmp_path, small_grid):
     out = tmp_path / "partial"
     assert main(["scan", "--kind", "grid", "--dmax", "300", "--pmax", "20",
@@ -167,6 +183,17 @@ def test_report_histogram_direct_computation(capsys, small_grid):
     code, _, _ = run(capsys, "report", "--input", str(small_grid), "--table",
                      "histogram", "--disc", "5")
     assert code == 2
+
+
+@pytest.mark.parametrize("d, p", [(5, 7), (8, 3), (13, 11), (1685, 31), (3869, 97)])
+def test_histogram_matches_per_value_route(capsys, small_grid, d, p):
+    for fmt in ("text", "json"):
+        code, out, _ = run(capsys, "report", "--input", str(small_grid), "--table", "histogram",
+                           "--disc", str(d), "--mod", str(p), "--format", fmt)
+        assert code == 0
+        residues = [lvalues.l_chi_mod(d, m, p) for m in range(1, (p - 1) // 2 + 1)]
+        cli._emit_distribution(stats.residue_histogram(residues, p), fmt)
+        assert out == capsys.readouterr().out
 
 
 @pytest.fixture(scope="module")

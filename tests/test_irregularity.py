@@ -3,8 +3,8 @@ import pytest
 from quadzeta.bernoulli import bernoulli_exact
 from quadzeta.irregularity import (
     _block_ranges,
+    _chi_hits_batch,
     _chi_hits_exact,
-    _chi_hits_modular,
     chi_irregularity_index,
     classical_irregularity_index,
     compute_table3_block,
@@ -68,7 +68,7 @@ def test_modular_kernel_matches_exact_kernel():
         for p in odd_primes_up_to(40):
             if d == p:
                 continue
-            assert _chi_hits_modular(d, p, chi, False) == _chi_hits_exact(d, p, False), (d, p)
+            assert _chi_hits_batch(chi[None], [d], p) == [tuple(_chi_hits_exact(d, p, False))], (d, p)
 
 
 def test_interior_union_law():

@@ -6,6 +6,7 @@ import pytest
 
 from quadzeta.numtheory import (
     QuadraticCharacter,
+    character_table,
     character_values,
     divisor_sigma_sieve,
     enumerate_fundamental_discriminants,
@@ -73,6 +74,25 @@ def test_character_values_match_kronecker():
         vals = character_values(d)
         for a in range(d + 1):
             assert vals[a] == kronecker_symbol(d, a)
+
+
+def test_character_table_matches_kronecker():
+    # widths below, at and far beyond the period; a block with both parities of D
+    discs = enumerate_fundamental_discriminants(2, 120) + [1685, 3869]
+    for width in (2, 7, 121, 4000):
+        table = character_table(discs, width)
+        assert table.shape == (len(discs), width) and table.dtype.name == "int8"
+        for d, row in zip(discs, table.tolist()):
+            assert row == [kronecker_symbol(d, a) for a in range(width)], (d, width)
+    with pytest.raises(ValueError):
+        character_table([5, 9], 10)
+
+
+def test_smallest_prime_factors_match_trial_division():
+    spf = smallest_prime_factors(3000)
+    assert spf[0] == spf[1] == 0
+    for n in range(2, 3000):
+        assert spf[n] == next(q for q in range(2, n + 1) if n % q == 0), n
 
 
 def test_quadratic_character_type():
