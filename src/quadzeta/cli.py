@@ -4,11 +4,14 @@ Subcommands: lvalue, zeta, index, scan, report, survey, stats.
 Exit codes: 0 success, 2 usage or validation error, 3 incomplete input,
 4 failed arithmetic check (the Siegel gate found a mismatch).
 
-Scans write CSV shards plus a manifest; reports and surveys consume those
-files without touching the compute modules again (the residue histogram is
-the one exception, since shards do not carry residues).  All text output is
-ASCII; table renderers round with the banker's rounding of format(), while
-JSON output carries full-precision numbers.
+A scan runs the plan of `irregularity.scan_plan`, the same plan the
+library's scan functions run; this module checks that the scan kind's flags
+are present and names the manifest's shards.  Scans write CSV shards plus a
+manifest; reports and surveys consume those files without touching the
+compute modules again (the residue histogram is the one exception, since
+shards do not carry residues).  All text output is ASCII; table renderers
+round with the banker's rounding of format(), while JSON output carries
+full-precision numbers.
 """
 
 from __future__ import annotations
@@ -16,11 +19,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 from pathlib import Path
 
 from . import irregularity, lvalues, shards, stats
-from .numtheory import is_fundamental_discriminant, is_odd_prime, odd_primes_up_to
+from .numtheory import is_fundamental_discriminant, is_odd_prime
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -113,51 +115,28 @@ def _parse_primes(text: str) -> tuple[int, ...]:
         raise CommandError(f"bad prime list {text!r}") from exc
     if not primes:
         raise CommandError("empty prime list")
-    for p in primes:
-        _require_odd_prime(p)
     return primes
 
 
+# the flags each scan kind needs; a million scan's --primes defaults to 3,5
+_SCAN_FLAGS = {"fixed-disc": ("disc", "pmax"), "grid": ("dmax", "pmax"), "million": ("dmax",)}
+
+
 def _scan_plan(args):
-    """(manifest, blocks, task) for the requested scan kind."""
-    if args.kind == "fixed-disc":
-        if args.disc is None or args.pmax is None:
-            raise CommandError("fixed-disc scan needs --disc and --pmax")
-        d = _require_fundamental(args.disc)
-        blocks = irregularity._block_ranges(3, args.pmax, irregularity.PRIME_BLOCK)
-        task = partial(irregularity._fixed_disc_task, d)
-        params = {"disc": str(d), "pmax": str(args.pmax)}
-        sigma_tables = None
-    elif args.kind == "grid":
-        if args.dmax is None or args.pmax is None:
-            raise CommandError("grid scan needs --dmax and --pmax")
-        primes = tuple(odd_primes_up_to(args.pmax))
-        blocks = irregularity._block_ranges(2, args.dmax, irregularity.GRID_BLOCK)
-        task = partial(irregularity._grid_task, primes)
-        params = {"dmax": str(args.dmax), "pmax": str(args.pmax)}
-        sigma_tables = None
-    elif args.kind == "million":
-        if args.dmax is None:
-            raise CommandError("million scan needs --dmax")
-        primes = _parse_primes(args.primes or "3,5")
-        if not set(primes) <= {3, 5}:
-            raise CommandError("million scan supports the primes 3 and 5 only")
-        lvalues.validate_siegel_gate()
-        blocks = irregularity._block_ranges(2, args.dmax, irregularity.MILLION_BLOCK)
-        task = partial(irregularity._table3_task, primes)
-        params = {"dmax": str(args.dmax), "primes": ",".join(map(str, primes))}
-        limit = max((args.dmax - 1) // 4, 1)
-        sigma_tables = {1: irregularity._shared_sigma(1, limit)}
-        if 5 in primes:
-            sigma_tables[3] = irregularity._shared_sigma(3, limit)
-    else:
-        raise CommandError(f"unknown scan kind {args.kind!r}")
-    manifest = shards.ScanManifest(kind=args.kind, params=params)
-    for lo, hi in blocks:
+    """(plan, manifest) for the requested scan kind."""
+    flags = _SCAN_FLAGS[args.kind]
+    if any(getattr(args, flag) is None for flag in flags):
+        raise CommandError(f"{args.kind} scan needs " + " and ".join(f"--{f}" for f in flags))
+    params = {flag: getattr(args, flag) for flag in flags}
+    if args.kind == "million":
+        params["primes"] = _parse_primes(args.primes or "3,5")
+    plan = irregularity.scan_plan(args.kind, **params)
+    manifest = shards.ScanManifest(kind=plan.kind, params=plan.params)
+    for lo, hi in plan.blocks:
         manifest.shards.append(
-            shards.ShardEntry(name=f"{args.kind}-{lo:08d}-{hi:08d}.csv", lo=lo, hi=hi)
+            shards.ShardEntry(name=f"{plan.kind}-{lo:08d}-{hi:08d}.csv", lo=lo, hi=hi)
         )
-    return manifest, blocks, task, sigma_tables
+    return plan, manifest
 
 
 def _fmt_params(params: dict) -> str:
@@ -167,7 +146,7 @@ def _fmt_params(params: dict) -> str:
 def cmd_scan(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifest, blocks, task, sigma_tables = _scan_plan(args)
+    plan, manifest = _scan_plan(args)
     if args.resume and (out / shards.MANIFEST_NAME).exists():
         previous = shards.read_manifest(out)
         if previous.kind != manifest.kind or previous.params != manifest.params:
@@ -182,17 +161,10 @@ def cmd_scan(args) -> int:
                 if shards.file_digest(out / old.name) == old.digest:
                     entry.digest = old.digest
                     entry.complete = True
-    pending = [
-        (i, block)
-        for i, block in enumerate(blocks)
-        if not manifest.shards[i].complete
-    ]
+    pending = [entry for entry in manifest.shards if not entry.complete]
     shards.write_manifest(out, manifest)
-    results = irregularity._run_blocks(
-        task, [block for _, block in pending], args.workers, sigma_tables
-    )
-    for (i, _block), records in zip(pending, results):
-        entry = manifest.shards[i]
+    results = plan.run(args.workers, [(entry.lo, entry.hi) for entry in pending])
+    for entry, records in zip(pending, results):
         path = out / entry.name
         shards.write_index_shard(path, records)
         entry.digest = shards.file_digest(path)

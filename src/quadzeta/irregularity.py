@@ -403,21 +403,16 @@ def compute_table3_block(
     d_lo: int,
     d_hi: int,
     primes: tuple[int, ...],
-    sigma1: SigmaTable | None = None,
+    sigma1: SigmaTable,
     sigma3: SigmaTable | None = None,
 ) -> list[IndexRecord]:
-    """Records for p in {3, 5} over [d_lo, d_hi) via the divisor-sum route.
+    """Records over [d_lo, d_hi) via the divisor-sum route; primes lie within {3, 5}.
 
     Needs only v_3 and v_5 of the two divisor sums: with S_k(D) denoting
     sum_b sigma_k((D-b^2)/4), the tested values are L(-1) = -S_1(D)/5 and,
-    for p = 5, L(-3) = S_3(D).
+    for p = 5, L(-3) = S_3(D).  The sigma tables reach at least (d_hi - 1)/4;
+    sigma3 is needed only for p = 5.
     """
-    if not set(primes) <= {3, 5}:
-        raise ValueError("divisor-sum scan mode supports the primes 3 and 5 only")
-    if sigma1 is None:
-        sigma1 = _shared_sigma(1, (d_hi - 1) // 4)
-    if sigma3 is None and 5 in primes:
-        sigma3 = _shared_sigma(3, (d_hi - 1) // 4)
     discs, res1_3 = siegel_divisor_sums_mod(1, d_lo, d_hi, sigma1, 3**_TABLE3_CAP[3])
     v3_s1 = _valuations_with_fallback(discs, res1_3, 3, 1, sigma1) if 3 in primes else None
     if 5 in primes:
@@ -453,105 +448,125 @@ def compute_table3_block(
     return records
 
 
-# Sigma tables shared with pool workers (populated by the initializer, or on
-# demand in-process; rebuilt lazily if a block needs a larger limit).
-_sigma_store: dict[int, SigmaTable] = {}
+@dataclass(frozen=True)
+class ScanPlan:
+    """One scan: its blocks, the function that computes a block, and the
+    params that identify the scan in a manifest.
 
-
-def _shared_sigma(k: int, limit: int) -> SigmaTable:
-    table = _sigma_store.get(k)
-    if table is None or table.limit < limit:
-        table = divisor_sigma_sieve(k, limit)
-        _sigma_store[k] = table
-    return table
-
-
-def _pool_init(sigma_tables: dict[int, SigmaTable]) -> None:
-    _sigma_store.update(sigma_tables)
-
-
-def _run_blocks(
-    task: Callable, blocks: Sequence, workers: int, sigma_tables: dict[int, SigmaTable] | None = None
-) -> Iterator:
-    """Run task over blocks, in order, optionally across processes.
-
-    Results are yielded in block order regardless of worker count, so scan
-    output is schedule-independent.
+    The blocks partition the scan range at multiples of a fixed size, so
+    they do not depend on the worker count; task(lo, hi) returns one
+    block's records, ordered by (D, p).
     """
-    if workers <= 1 or len(blocks) <= 1:
-        if sigma_tables:
-            _pool_init(sigma_tables)
-        for block in blocks:
-            yield task(block)
-        return
-    ctx = mp.get_context("fork")
-    init = partial(_pool_init, sigma_tables) if sigma_tables else None
-    with ctx.Pool(processes=workers, initializer=init) as pool:
-        yield from pool.imap(task, blocks)
+
+    kind: str
+    params: dict[str, str]
+    blocks: list[tuple[int, int]]
+    task: Callable[[int, int], list[IndexRecord]]
+
+    def run(
+        self, workers: int = 1, blocks: Sequence[tuple[int, int]] | None = None
+    ) -> Iterator[list[IndexRecord]]:
+        """Records of each block (all of them by default), in block order
+        whatever the worker count."""
+        blocks = self.blocks if blocks is None else blocks
+        if workers <= 1 or len(blocks) <= 1:
+            for block in blocks:
+                yield self.task(*block)
+            return
+        # the task, with the sigma tables it may hold, reaches each forked
+        # worker once through the initializer instead of once per block
+        ctx = mp.get_context("fork")
+        with ctx.Pool(processes=workers, initializer=_pool_init, initargs=(self.task,)) as pool:
+            yield from pool.imap(_run_block, blocks)
 
 
-def _fixed_disc_task(d: int, block: tuple[int, int]) -> list[IndexRecord]:
-    return compute_fixed_disc_block(d, block[0], block[1])
+_worker_task: Callable[[int, int], list[IndexRecord]] | None = None  # set in pool workers
 
 
-def _grid_task(primes: tuple[int, ...], block: tuple[int, int]) -> list[IndexRecord]:
-    return compute_grid_block(block[0], block[1], primes)
+def _pool_init(task: Callable[[int, int], list[IndexRecord]]) -> None:
+    global _worker_task
+    _worker_task = task
 
 
-def _table3_task(primes: tuple[int, ...], block: tuple[int, int]) -> list[IndexRecord]:
-    return compute_table3_block(block[0], block[1], primes)
+def _run_block(block: tuple[int, int]) -> list[IndexRecord]:
+    return _worker_task(*block)
+
+
+def scan_plan(
+    kind: str,
+    *,
+    disc: int | None = None,
+    pmax: int | None = None,
+    dmin: int | None = None,
+    dmax: int | None = None,
+    primes: Iterable[int] | None = None,
+) -> ScanPlan:
+    """Plan one of the three scans from its parameters.
+
+    fixed-disc  disc, pmax: every odd prime p < pmax for the one D = disc.
+    grid        dmax, and pmax (the odd primes below it) or primes: every
+                fundamental D in [dmin, dmax) with each prime; dmin
+                defaults to 2.
+    million     dmax, primes within {3, 5}: the same range by the
+                divisor-sum route.  Planning runs the Siegel gate and
+                builds the sigma tables the blocks share.
+
+    The plan's params are the given parameters as strings.
+    """
+    primes = None if primes is None else tuple(sorted({int(p) for p in primes}))
+    given = {"disc": disc, "pmax": pmax, "dmin": dmin, "dmax": dmax, "primes": primes}
+    params = {
+        key: ",".join(map(str, value)) if key == "primes" else str(value)
+        for key, value in given.items()
+        if value is not None
+    }
+    d_lo = max(dmin or 2, 2)
+    if kind == "fixed-disc":
+        validate_fundamental_discriminant(disc)
+        if pmax < 3:
+            raise ValueError("pmax must be at least 3")
+        blocks = _block_ranges(3, pmax, PRIME_BLOCK)
+        task = partial(compute_fixed_disc_block, disc)
+    elif kind == "grid":
+        primes = tuple(odd_primes_up_to(pmax)) if primes is None else primes
+        for p in primes:
+            if not is_odd_prime(p):
+                raise ValueError(f"{p} is not an odd prime")
+        blocks = _block_ranges(d_lo, dmax, GRID_BLOCK)
+        task = partial(compute_grid_block, primes=primes)
+    elif kind == "million":
+        if not set(primes) <= {3, 5}:
+            raise ValueError("the million scan supports the primes 3 and 5 only")
+        validate_siegel_gate()
+        limit = max((dmax - 1) // 4, 1)
+        sigma1 = divisor_sigma_sieve(1, limit)
+        sigma3 = divisor_sigma_sieve(3, limit) if 5 in primes else None
+        blocks = _block_ranges(d_lo, dmax, MILLION_BLOCK)
+        task = partial(compute_table3_block, primes=primes, sigma1=sigma1, sigma3=sigma3)
+    else:
+        raise ValueError(f"unknown scan kind {kind!r}")
+    return ScanPlan(kind, params, blocks, task)
 
 
 def scan_fixed_discriminant(d: int, p_max: int, workers: int = 1) -> list[IndexRecord]:
     """chi-index records for all odd primes p < p_max, ascending."""
-    validate_fundamental_discriminant(d)
-    if p_max < 3:
-        raise ValueError("p_max must be at least 3")
-    blocks = _block_ranges(3, p_max, PRIME_BLOCK)
-    records: list[IndexRecord] = []
-    for chunk in _run_blocks(partial(_fixed_disc_task, d), blocks, workers):
-        records.extend(chunk)
-    return records
+    plan = scan_plan("fixed-disc", disc=d, pmax=p_max)
+    return [rec for block in plan.run(workers) for rec in block]
 
 
 def scan_fixed_primes(
-    d_lo: int,
-    d_hi: int,
-    primes: Iterable[int],
-    mode: str = "full",
-    workers: int = 1,
+    d_lo: int, d_hi: int, primes: Iterable[int], workers: int = 1
 ) -> list[IndexRecord]:
     """One chi-index record per (D, p), ordered by (D, p); deterministic.
 
-    mode "full" tests every exponent up to delta via the Bernoulli kernels;
-    mode "table3" requires primes within {3, 5} and uses the divisor-sum
-    route for L(-1) and L(-3).
+    Primes within {3, 5} take the divisor-sum route of the million scan,
+    any other set the Bernoulli kernels of the grid scan; the two routes
+    give the same records.
     """
-    primes = tuple(sorted(set(int(p) for p in primes)))
-    for p in primes:
-        if not is_odd_prime(p):
-            raise ValueError(f"{p} is not an odd prime")
-    if mode == "full":
-        blocks = _block_ranges(max(d_lo, 2), d_hi, GRID_BLOCK)
-        task = partial(_grid_task, primes)
-        sigma_tables = None
-    elif mode == "table3":
-        if not set(primes) <= {3, 5}:
-            raise ValueError("table3 mode requires primes within {3, 5}")
-        if d_hi - d_lo > 100_000:
-            validate_siegel_gate()
-        blocks = _block_ranges(max(d_lo, 2), d_hi, MILLION_BLOCK)
-        task = partial(_table3_task, primes)
-        limit = max((d_hi - 1) // 4, 1)
-        sigma_tables = {1: _shared_sigma(1, limit)}
-        if 5 in primes:
-            sigma_tables[3] = _shared_sigma(3, limit)
-    else:
-        raise ValueError(f"unknown scan mode {mode!r}")
-    records: list[IndexRecord] = []
-    for chunk in _run_blocks(task, blocks, workers, sigma_tables):
-        records.extend(chunk)
-    return records
+    primes = tuple(primes)
+    kind = "million" if set(primes) <= {3, 5} else "grid"
+    plan = scan_plan(kind, dmin=d_lo, dmax=d_hi, primes=primes)
+    return [rec for block in plan.run(workers) for rec in block]
 
 
 def high_valuation_survey(

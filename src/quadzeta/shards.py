@@ -17,6 +17,7 @@ import csv
 import hashlib
 import os
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -65,9 +66,11 @@ def write_index_shard(path: Path, records: Iterable[IndexRecord]) -> None:
 
 
 def read_index_shard(path: Path) -> list[IndexRecord]:
-    """Parse an index shard, rejecting rows of the wrong arity or whose index
-    column disagrees with the number of hits."""
+    """Parse an index shard, rejecting rows of the wrong arity, rows whose
+    index column disagrees with the number of hits, and rows that do not
+    strictly increase by (D, p)."""
     records = []
+    previous = (0, 0)  # below every valid (D, p)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -83,7 +86,11 @@ def read_index_shard(path: Path) -> list[IndexRecord]:
             hits = parse_hits(hits_text)
             if int(index) != len(hits):
                 raise ValueError(f"{path}:{reader.line_num}: index {index} but {len(hits)} hits")
-            records.append(IndexRecord(int(d), int(p), int(delta), "chi", hits))
+            key = (int(d), int(p))
+            if key <= previous:
+                raise ValueError(f"{path}:{reader.line_num}: (D, p) {key} does not follow {previous}")
+            previous = key
+            records.append(IndexRecord(key[0], key[1], int(delta), "chi", hits))
     return records
 
 
@@ -197,7 +204,9 @@ def read_manifest(directory: Path) -> ScanManifest:
 def load_records(directory: Path, allow_partial: bool = False) -> list[IndexRecord]:
     """Read every completed shard in range order; reject incomplete scans.
 
-    A completed shard must carry a digest, and its file must match it.
+    A completed shard must carry a digest, and its file must match it.  Each
+    record's block key (p for a fixed-disc scan, D otherwise) must lie in
+    its shard's [lo, hi).
 
     Raises IncompleteScanError unless allow_partial is set; report commands
     map that onto the dedicated exit code.
@@ -205,6 +214,7 @@ def load_records(directory: Path, allow_partial: bool = False) -> list[IndexReco
     manifest = read_manifest(directory)
     if not manifest.complete and not allow_partial:
         raise IncompleteScanError(f"scan in {directory} is incomplete")
+    block_key = attrgetter("prime" if manifest.kind == "fixed-disc" else "discriminant")
     records: list[IndexRecord] = []
     for entry in sorted(manifest.shards, key=lambda s: s.lo):
         if not entry.complete:
@@ -214,5 +224,9 @@ def load_records(directory: Path, allow_partial: bool = False) -> list[IndexReco
             raise ValueError(f"shard {entry.name} is marked complete but has no digest")
         if file_digest(path) != entry.digest:
             raise ValueError(f"digest mismatch for shard {entry.name}")
-        records.extend(read_index_shard(path))
+        shard = read_index_shard(path)
+        keys = list(map(block_key, shard))
+        if keys and (min(keys) < entry.lo or max(keys) >= entry.hi):
+            raise ValueError(f"shard {entry.name} holds records outside [{entry.lo}, {entry.hi})")
+        records.extend(shard)
     return records

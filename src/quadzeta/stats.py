@@ -18,6 +18,7 @@ chi-squared distribution, Q(df/2, x/2).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -193,15 +194,11 @@ def expected_counts_exact(records: Sequence[IndexRecord], r_max: int) -> list[fl
     Uses the uniform trial count for every record, including D = p; that is
     the convention the reference tabulations follow.
     """
-    per_prime: dict[int, list[Fraction]] = {}
     totals = [Fraction(0)] * (r_max + 1)
-    for rec in records:
-        probs = per_prime.get(rec.prime)
-        if probs is None:
-            probs = exact_index_distribution(rec.prime, is_d_equal_p=False)
-            per_prime[rec.prime] = probs
+    for p, count in Counter(rec.prime for rec in records).items():
+        probs = exact_index_distribution(p, is_d_equal_p=False)
         for r in range(min(r_max + 1, len(probs))):
-            totals[r] += probs[r]
+            totals[r] += count * probs[r]
     return [float(t) for t in totals]
 
 

@@ -234,12 +234,12 @@ def test_million_smoke_via_cli(capsys, tmp_path):
 
 
 def test_gate_mismatch_exits_with_check_code(capsys, tmp_path, monkeypatch):
-    from quadzeta import lvalues
+    from quadzeta import irregularity
 
     def mismatch(limit=1000):
         raise ArithmeticError("divisor-sum route disagrees at D=5, m=1")
 
-    monkeypatch.setattr(lvalues, "validate_siegel_gate", mismatch)
+    monkeypatch.setattr(irregularity, "validate_siegel_gate", mismatch)
     code, _, err = run(capsys, "scan", "--kind", "million", "--dmax", "3000",
                        "--out", str(tmp_path / "gate"))
     assert code == 4

@@ -18,6 +18,7 @@ from quadzeta.irregularity import (
 from quadzeta.lvalues import l_chi_exact
 from quadzeta.numtheory import (
     character_values,
+    divisor_sigma_sieve,
     enumerate_fundamental_discriminants,
     odd_primes_up_to,
     p_adic_valuation,
@@ -129,17 +130,14 @@ def test_scan_fixed_discriminant_structure():
 
 
 def test_scan_fixed_primes_structure():
-    recs = scan_fixed_primes(2, 30, [3], mode="table3")
+    recs = scan_fixed_primes(2, 30, [3])
     assert len(recs) == 9
     assert [r.discriminant for r in recs] == [5, 8, 12, 13, 17, 21, 24, 28, 29]
-    with pytest.raises(ValueError):
-        scan_fixed_primes(2, 30, [7], mode="table3")
-    with pytest.raises(ValueError):
-        scan_fixed_primes(2, 30, [3], mode="bogus")
 
 
 def test_table3_block_matches_exact_kernel():
-    recs = compute_table3_block(2, 2000, (3, 5))
+    recs = compute_table3_block(2, 2000, (3, 5), divisor_sigma_sieve(1, 499),
+                                divisor_sigma_sieve(3, 499))
     for rec in recs:
         exact = tuple(_chi_hits_exact(rec.discriminant, rec.prime, False))
         assert rec.hits == exact, (rec.discriminant, rec.prime)
@@ -147,7 +145,7 @@ def test_table3_block_matches_exact_kernel():
 
 def test_grid_scan_matches_per_pair_api():
     primes = odd_primes_up_to(20)
-    recs = scan_fixed_primes(2, 100, primes, mode="full")
+    recs = scan_fixed_primes(2, 100, primes)
     assert len(recs) == len(enumerate_fundamental_discriminants(2, 100)) * len(primes)
     for rec in recs:
         single = chi_irregularity_index(rec.discriminant, rec.prime)
@@ -156,11 +154,11 @@ def test_grid_scan_matches_per_pair_api():
 
 def test_scan_worker_counts_agree():
     primes = odd_primes_up_to(20)
-    base = scan_fixed_primes(2, 3500, primes, mode="full", workers=1)
+    base = scan_fixed_primes(2, 3500, primes, workers=1)
     for workers in (4, 16):
-        assert scan_fixed_primes(2, 3500, primes, mode="full", workers=workers) == base
-    t3_base = scan_fixed_primes(2, 60_000, [3, 5], mode="table3", workers=1)
-    assert scan_fixed_primes(2, 60_000, [3, 5], mode="table3", workers=4) == t3_base
+        assert scan_fixed_primes(2, 3500, primes, workers=workers) == base
+    t3_base = scan_fixed_primes(2, 60_000, [3, 5], workers=1)
+    assert scan_fixed_primes(2, 60_000, [3, 5], workers=4) == t3_base
 
 
 def test_block_ranges_partition():
@@ -172,7 +170,7 @@ def test_block_ranges_partition():
 
 
 def test_high_valuation_survey():
-    recs = scan_fixed_primes(2, 1000, [3], mode="table3")
+    recs = scan_fixed_primes(2, 1000, [3])
     best, attain = high_valuation_survey(recs, 3)
     assert best >= 1
     for d, two_m in attain:

@@ -1,0 +1,88 @@
+import ast
+from pathlib import Path
+
+import pytest
+
+import quadzeta.cli
+from quadzeta.cli import main
+from quadzeta.irregularity import (
+    compute_grid_block,
+    compute_table3_block,
+    scan_fixed_discriminant,
+    scan_fixed_primes,
+    scan_plan,
+)
+from quadzeta.numtheory import divisor_sigma_sieve, odd_primes_up_to
+from quadzeta.shards import load_records, read_manifest
+
+
+def test_divisor_sum_route_equals_grid_route():
+    # scan_fixed_primes picks the divisor-sum route for primes within {3, 5}
+    # on the strength of this equality
+    table3 = compute_table3_block(2, 3000, (3, 5), divisor_sigma_sieve(1, 749),
+                                  divisor_sigma_sieve(3, 749))
+    grid = compute_grid_block(2, 3000, (3, 5))
+    assert table3 == grid
+    keys = {(r.discriminant, r.prime) for r in table3}
+    assert (5, 5) in keys and (5, 3) in keys  # D = p
+    assert (12, 3) in keys and (40, 5) in keys  # p | D
+
+
+@pytest.mark.parametrize(
+    "argv, library",
+    [
+        (["--kind", "fixed-disc", "--disc", "5", "--pmax", "1200"],
+         lambda: scan_fixed_discriminant(5, 1200)),
+        (["--kind", "grid", "--dmax", "2100", "--pmax", "20"],
+         lambda: scan_fixed_primes(2, 2100, odd_primes_up_to(20))),
+        (["--kind", "million", "--dmax", "25000", "--primes", "3,5"],
+         lambda: scan_fixed_primes(2, 25000, [3, 5])),
+    ],
+)
+def test_library_scan_equals_cli_shards(tmp_path, argv, library):
+    assert main(["scan", *argv, "--out", str(tmp_path), "--workers", "2"]) == 0
+    assert len(read_manifest(tmp_path).shards) > 1
+    assert load_records(tmp_path) == library()
+
+
+def test_plan_params_identify_the_cli_scans():
+    assert scan_plan("fixed-disc", disc=5, pmax=2500).params == {"disc": "5", "pmax": "2500"}
+    assert scan_plan("grid", dmax=5000, pmax=100).params == {"dmax": "5000", "pmax": "100"}
+    plan = scan_plan("million", dmax=30000, primes=[5, 3, 5])
+    assert plan.params == {"dmax": "30000", "primes": "3,5"}
+    assert plan.blocks == [(2, 10000), (10000, 20000), (20000, 30000)]
+
+
+@pytest.mark.parametrize(
+    "kind, params, problem",
+    [
+        ("million", {"dmax": 100, "primes": [3, 7]}, "primes 3 and 5 only"),
+        ("grid", {"dmax": 100, "primes": [9]}, "9 is not an odd prime"),
+        ("fixed-disc", {"disc": 9, "pmax": 100}, "not a fundamental discriminant"),
+        ("fixed-disc", {"disc": 5, "pmax": 2}, "at least 3"),
+        ("bogus", {"dmax": 100}, "unknown scan kind"),
+    ],
+)
+def test_plan_validation(kind, params, problem):
+    with pytest.raises(ValueError, match=problem):
+        scan_plan(kind, **params)
+
+
+def test_cli_uses_no_private_irregularity_name():
+    tree = ast.parse(Path(quadzeta.cli.__file__).read_text())
+    private = [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "irregularity"
+        and node.attr.startswith("_")
+    ]
+    private += [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("irregularity")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

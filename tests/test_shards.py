@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from quadzeta.irregularity import IndexRecord, IrregularPair
 from quadzeta.shards import (
@@ -33,13 +35,36 @@ def test_hits_round_trip():
     assert parse_hits("") == ()
 
 
-def test_index_shard_round_trip(tmp_path):
+# hit lists as the kernels emit them: distinct even exponents, ascending,
+# each with a valuation >= 1
+_hits = st.lists(
+    st.tuples(st.integers(1, 5000).map(lambda m: 2 * m), st.integers(1, 60)),
+    max_size=4,
+    unique_by=lambda hit: hit[0],
+).map(lambda hits: tuple(sorted(hits)))
+
+
+@st.composite
+def _index_records(draw):
+    keys = draw(st.lists(st.tuples(st.integers(5, 10**6), st.integers(3, 10**4)),
+                         unique=True, max_size=8))
+    return [IndexRecord(d, p, draw(st.integers(2, 10**4)), "chi", draw(_hits))
+            for d, p in sorted(keys)]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_index_records())
+@example(_records())
+@example([])
+def test_index_shard_round_trip(tmp_path, records):
     path = tmp_path / "shard.csv"
-    write_index_shard(path, _records())
-    back = read_index_shard(path)
-    assert back == _records()
+    write_index_shard(path, records)
+    assert read_index_shard(path) == records
     header = path.read_text().splitlines()[0]
     assert header == "D,p,delta,index,hits"
+    for rec in records:
+        assert parse_hits(format_hits(rec.hits)) == rec.hits
 
 
 def test_index_shard_rejects_foreign_csv(tmp_path):
@@ -108,6 +133,32 @@ def test_load_records_requires_digest_of_complete_shard(tmp_path):
     manifest = ScanManifest(kind="grid", shards=[ShardEntry("s.csv", 2, 10, "", True)])
     write_manifest(tmp_path, manifest)
     with pytest.raises(ValueError, match="no digest"):
+        load_records(tmp_path)
+
+
+def _complete_scan(directory, kind, lo, hi, lines):
+    """A one-shard scan whose manifest digest matches the given shard lines."""
+    shard = directory / "s.csv"
+    shard.write_text("".join(line + "\n" for line in lines))
+    manifest = ScanManifest(kind=kind, shards=[ShardEntry("s.csv", lo, hi, file_digest(shard), True)])
+    write_manifest(directory, manifest)
+
+
+def test_load_records_rejects_rows_out_of_order(tmp_path):
+    write_index_shard(tmp_path / "s.csv", _records())
+    header, *rows = (tmp_path / "s.csv").read_text().splitlines()
+    rows[1], rows[2] = rows[2], rows[1]
+    _complete_scan(tmp_path, "grid", 2, 10, [header, *rows])
+    with pytest.raises(ValueError, match="does not follow"):
+        load_records(tmp_path)
+
+
+@pytest.mark.parametrize("kind, lo, hi", [("grid", 2, 8), ("fixed-disc", 3, 7)])
+def test_load_records_rejects_records_outside_the_shard(tmp_path, kind, lo, hi):
+    # D = 8 lies outside the grid shard [2, 8), p = 7 outside the fixed-disc shard [3, 7)
+    write_index_shard(tmp_path / "s.csv", _records())
+    _complete_scan(tmp_path, kind, lo, hi, (tmp_path / "s.csv").read_text().splitlines())
+    with pytest.raises(ValueError, match="outside"):
         load_records(tmp_path)
 
 
