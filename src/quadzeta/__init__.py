@@ -6,11 +6,7 @@ the even-distribution heuristic.
 """
 
 from .bernoulli import (
-    CharacterPowerSums,
-    ModularBernoulliTable,
     bernoulli_exact,
-    bernoulli_mod_table,
-    character_power_sums,
     generalized_bernoulli_exact,
     generalized_bernoulli_mod,
 )
@@ -27,18 +23,15 @@ from .irregularity import (
     scan_fixed_primes,
 )
 from .lvalues import (
-    SpecialValue,
     l_chi_exact,
     l_chi_mod,
     l_from_siegel,
     riemann_zeta_neg,
     siegel_batch,
-    special_value,
     validate_siegel_gate,
     zeta_d_exact,
 )
 from .numtheory import (
-    QuadraticCharacter,
     SigmaTable,
     divisor_sigma_sieve,
     enumerate_fundamental_discriminants,
@@ -66,20 +59,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregateReport",
-    "CharacterPowerSums",
     "DistributionTable",
     "IndexRecord",
     "IrregularPair",
-    "ModularBernoulliTable",
-    "QuadraticCharacter",
     "SigmaTable",
-    "SpecialValue",
     "UniformityReport",
     "aggregate_across_discriminants",
     "bernoulli_exact",
-    "bernoulli_mod_table",
     "build_distribution",
-    "character_power_sums",
     "chi_irregularity_index",
     "chi_squared_statistic",
     "classical_irregularity_index",
@@ -108,7 +95,6 @@ __all__ = [
     "scan_fixed_primes",
     "siegel_batch",
     "significance",
-    "special_value",
     "validate_siegel_gate",
     "zeta_d_exact",
 ]

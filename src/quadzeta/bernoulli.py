@@ -9,6 +9,12 @@ twisted Bernoulli number attached to the quadratic character chi mod D is
 where S_k = sum_{a=1}^{D} chi(a) a^k.  The j = n term always vanishes
 because S_0 = 0 for every nontrivial character, so B_{p-1} mod p is never
 needed on the modular path.
+
+The modular kernel (_numerator_residues) computes the numerators
+N(n) = D * B(n, chi) mod p^e for every row of a character table at once:
+the scans, the single-value routes and the residue histogram all read it.
+Every int64 contraction here asserts its bound against _INT64_BUDGET, and
+exact Python integers (object arrays) take over beyond it.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -187,42 +192,67 @@ def _egf_numerators(discs, p: int, modulus: int, sums, two_ms: Sequence[int]) ->
     return (even + odd[:, hs - 1]) % modulus * fact[2 * hs] % modulus
 
 
-@dataclass(frozen=True)
-class ModularBernoulliTable:
-    """Residues of B_n mod p for even n with 0 <= n <= p - 3, plus B_0 and B_1."""
-
-    prime: int
-    residues: tuple[int, ...]  # indexed by n, 0 <= n <= p - 2
-
-    def __getitem__(self, n: int) -> int:
-        p = self.prime
-        if not (n in (0, 1) or (n % 2 == 0 and 0 <= n <= p - 3)):
-            raise ValueError(f"B_{n} mod {p} is outside the table range")
-        return self.residues[n]
+# Largest block _twisted_sums builds at once in int64 or object dtype (a
+# slice of the character table, or a slice of the powers r^k).
+_CHUNK_ENTRIES = 1 << 18
 
 
-@lru_cache(maxsize=None)
-def bernoulli_mod_table(p: int) -> ModularBernoulliTable:
-    """B_n mod p for all even n <= p - 3 (von Staudt-Clausen keeps them integral)."""
-    if not is_odd_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
-    return ModularBernoulliTable(prime=p, residues=tuple(bernoulli_residues_mod(p, p).tolist()))
+def _twisted_sums(table: np.ndarray, p: int, e: int) -> np.ndarray:
+    """T[i, k] = sum_a table[i, a] a^k mod p^e for 0 <= k <= p - 1.
 
+    Writing a = r + p t, a^k = sum_{j<e} C(k, j) p^j t^j r^(k-j) (mod p^e), so
+    with the class moments Mom_j[i, r] = sum_t table[i, r + p t] t^j,
 
-@dataclass(frozen=True)
-class CharacterPowerSums:
-    """S_k = sum_{a=1}^{D} chi_D(a) a^k for 0 <= k <= k_max.
+        T_k / k! = sum_j (p^j / j!) G_j[i, k - j],  G_j[i, k] = sum_r Mom_j[i, r] r^k / k!.
 
-    Exact integers when modulus is None, residues otherwise.  S_0 = 0 always.
+    Only j < p matters (k < p), and only j = 0 when the table is narrower
+    than p.  The moments are one contraction over t per chunk of rows; the
+    powers r^k are shared by every row and built a chunk of columns at a time.
     """
+    modulus = p**e
+    fact, inv_fact = _factorials(p, modulus)
+    dtype = fact.dtype
+    rows, width = table.shape
+    n_t = -(-width // p)
+    n_r = min(p, width)
+    n_j = min(e, p) if n_t > 1 else 1
+    if dtype == np.int64:
+        # moments sum n_t terms below modulus; the r contraction n_r products
+        assert n_t * modulus < _INT64_BUDGET and n_r * modulus * modulus < _INT64_BUDGET
+    if n_t * n_r > width:
+        table = np.pad(table, ((0, 0), (0, n_t * n_r - width)))
+    t_pow = np.ascontiguousarray(_pow_range(np.arange(n_t), n_j, modulus, dtype).T)
+    step = max(1, _CHUNK_ENTRIES // (n_t * n_r))
+    moments = np.concatenate([
+        t_pow @ table[lo : lo + step].reshape(-1, n_t, n_r).astype(dtype) % modulus
+        for lo in range(0, rows, step)
+    ]).reshape(-1, n_r)  # row i * n_j + j holds Mom_j[i]
+    g = np.empty((len(moments), p), dtype=dtype)
+    r = np.arange(n_r).astype(dtype)
+    k_step = max(1, _CHUNK_ENTRIES // n_r)
+    r_pow = _pow_range(r, min(k_step, p), modulus, dtype)
+    r_shift = np.ones(n_r, dtype=dtype)  # r^k0
+    for k0 in range(0, p, k_step):
+        g[:, k0 : k0 + k_step] = moments @ (r_pow[:, : p - k0] * r_shift[:, None] % modulus) % modulus
+        r_shift = r_shift * r_pow[:, -1] % modulus * r % modulus
+    g = g.reshape(rows, n_j, p) * inv_fact % modulus
+    coef = _pow_range(p, n_j, modulus, dtype) * inv_fact[:n_j] % modulus
+    s = np.zeros((rows, p), dtype=dtype)
+    for j in range(n_j):
+        s[:, j:] += coef[j] * g[:, j, : p - j] % modulus
+    return s % modulus * fact % modulus
 
-    discriminant: int
-    k_max: int
-    modulus: int | None
-    sums: tuple[int, ...]
 
-    def __getitem__(self, k: int) -> int:
-        return self.sums[k]
+def _numerator_residues(
+    table: np.ndarray, discs: Sequence[int], p: int, e: int, two_ms: Sequence[int]
+) -> np.ndarray:
+    """N(n) = D B(n, chi_D) mod p^e for each row and each even n <= p - 1 in two_ms.
+
+    table holds one period of chi_D per row, zero beyond a = D: character_values(D)
+    for a single D, or a block of them from irregularity._period_table.
+    """
+    sums = _twisted_sums(table, p, e)
+    return _egf_numerators(discs, p, p**e, sums, two_ms)
 
 
 # Exact power sums grow on demand per discriminant (kept with the character
@@ -250,25 +280,6 @@ def _exact_power_sums(d: int, k_max: int) -> list[int]:
     return sums
 
 
-def character_power_sums(d: int, k_max: int, modulus: int | None = None) -> CharacterPowerSums:
-    """Twisted power sums, exact or reduced mod modulus, in O(D * k_max) multiplies."""
-    validate_fundamental_discriminant(d)
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
-    if modulus is None:
-        sums = tuple(_exact_power_sums(d, k_max)[: k_max + 1])
-    else:
-        chi = character_values(d)
-        support = [(a % modulus, int(chi[a])) for a in range(1, d + 1) if chi[a]]
-        acc = []
-        powers = [1] * len(support)
-        for _ in range(k_max + 1):
-            acc.append(sum(c * pw for (_, c), pw in zip(support, powers)) % modulus)
-            powers = [pw * a % modulus for (a, _), pw in zip(support, powers)]
-        sums = tuple(acc)
-    return CharacterPowerSums(discriminant=d, k_max=k_max, modulus=modulus, sums=sums)
-
-
 @lru_cache(maxsize=65536)
 def generalized_bernoulli_exact(d: int, n: int) -> Fraction:
     """B(n, chi_d) as an exact rational."""
@@ -287,19 +298,24 @@ def generalized_bernoulli_exact(d: int, n: int) -> Fraction:
     return total / d
 
 
+def _check_modular(d: int, p: int) -> None:
+    """The modular routes need an odd prime p coprime to the discriminant d."""
+    validate_fundamental_discriminant(d)
+    if not is_odd_prime(p):
+        raise ValueError(f"{p} is not an odd prime")
+    if d % p == 0:
+        raise ValueError(f"modular reduction needs p coprime to the discriminant ({p} | {d})")
+
+
 def generalized_bernoulli_mod(d: int, n: int, p: int) -> int:
     """B(n, chi_d) mod p, from the numerator N(n) = d * B(n, chi_d) of the EGF kernel.
 
     Requires p coprime to d (use the exact path otherwise), n even, n <= p - 1.
     """
-    validate_fundamental_discriminant(d)
-    if not is_odd_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
-    if d % p == 0:
-        raise ValueError(f"modular path needs p coprime to the discriminant ({p} | {d})")
+    _check_modular(d, p)
     if n % 2 != 0 or n < 2:
         raise ValueError("index must be a positive even integer")
     if n > p - 1:
         raise ValueError(f"index {n} exceeds p - 1 = {p - 1}")
-    sums = character_power_sums(d, n, modulus=p).sums
-    return int(_egf_numerators([d], p, p, [sums], [n])[0, 0]) * pow(d, -1, p) % p
+    num = _numerator_residues(character_values(d)[None], [d], p, 1, [n])[0, 0]
+    return int(num) * pow(d, -1, p) % p

@@ -329,7 +329,7 @@ def cmd_report(args) -> int:
         p = _require_odd_prime(args.mod)
         if d % p == 0:
             raise CommandError(f"histogram needs p coprime to the discriminant ({p} | {d})")
-        table = stats.residue_histogram(irregularity.l_chi_residues(d, p), p)
+        table = stats.residue_histogram(lvalues.l_chi_residues(d, p), p)
         _emit_distribution(table, fmt)
     else:
         raise CommandError(f"unknown table {args.table!r}")

@@ -15,11 +15,11 @@ multiplied by p (the Riemann factor contributes valuation -1 there).
 
 classical index: count of even n <= p - 3 with p dividing B_n.
 
-The scan kernel works with the numerator N(n) = D * B(n, chi), computed
-modulo p^e for one prime and a whole block of discriminants at once: a hit
-is v_p(N) >= 1 + v_p(D), read off the residues together with its
-valuation; only a residue that is exactly 0 is recomputed at a deeper
-prime power.
+The chi-index driver reads the numerators N(n) = D * B(n, chi) from the
+kernel in bernoulli.py, modulo p^e for one prime and a whole block of
+discriminants at once: a hit is v_p(N) >= 1 + v_p(D), read off the residues
+together with its valuation; only a residue that is exactly 0 is recomputed
+at a deeper prime power.
 """
 
 from __future__ import annotations
@@ -27,20 +27,12 @@ from __future__ import annotations
 import math
 import multiprocessing as mp
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bernoulli import (
-    _INT64_BUDGET,
-    _egf_numerators,
-    _factorials,
-    _np_safe,
-    _pow_range,
-    bernoulli_mod_table,
-    bernoulli_residues_mod,
-)
+from .bernoulli import _np_safe, _numerator_residues, bernoulli_residues_mod
 from .lvalues import (
     l_chi_exact,
     siegel_divisor_sums_mod,
@@ -113,13 +105,10 @@ def delta(d: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# modular kernel: one prime, a matrix of discriminants
+# chi-index driver: one prime, a matrix of discriminants
 
-# Largest int8 character table per row group of a grid block (rows x width),
-# and the largest block _twisted_sums builds at once in int64 or object dtype
-# (a slice of that table, or a slice of the powers r^k).
+# Largest int8 character table per row group of a grid block (rows x width).
 _TABLE_ENTRIES = 1 << 21
-_CHUNK_ENTRIES = 1 << 18
 
 
 def _max_np_exponent(p: int) -> int:
@@ -152,63 +141,6 @@ def _period_table(discs: Sequence[int]) -> np.ndarray:
     table = character_table(discs, width)
     table[np.arange(width) > np.asarray(discs)[:, None]] = 0
     return table
-
-
-def _twisted_sums(table: np.ndarray, p: int, e: int) -> np.ndarray:
-    """T[i, k] = sum_a table[i, a] a^k mod p^e for 0 <= k <= p - 1.
-
-    Writing a = r + p t, a^k = sum_{j<e} C(k, j) p^j t^j r^(k-j) (mod p^e), so
-    with the class moments Mom_j[i, r] = sum_t table[i, r + p t] t^j,
-
-        T_k / k! = sum_j (p^j / j!) G_j[i, k - j],  G_j[i, k] = sum_r Mom_j[i, r] r^k / k!.
-
-    Only j < p matters (k < p), and only j = 0 when the table is narrower
-    than p.  The moments are one contraction over t per chunk of rows; the
-    powers r^k are shared by every row and built a chunk of columns at a time.
-    """
-    modulus = p**e
-    fact, inv_fact = _factorials(p, modulus)
-    dtype = fact.dtype
-    rows, width = table.shape
-    n_t = -(-width // p)
-    n_r = min(p, width)
-    n_j = min(e, p) if n_t > 1 else 1
-    if dtype == np.int64:
-        # moments sum n_t terms below modulus; the r contraction n_r products
-        assert n_t * modulus < _INT64_BUDGET and n_r * modulus * modulus < _INT64_BUDGET
-    if n_t * n_r > width:
-        table = np.pad(table, ((0, 0), (0, n_t * n_r - width)))
-    t_pow = np.ascontiguousarray(_pow_range(np.arange(n_t), n_j, modulus, dtype).T)
-    step = max(1, _CHUNK_ENTRIES // (n_t * n_r))
-    moments = np.concatenate([
-        t_pow @ table[lo : lo + step].reshape(-1, n_t, n_r).astype(dtype) % modulus
-        for lo in range(0, rows, step)
-    ]).reshape(-1, n_r)  # row i * n_j + j holds Mom_j[i]
-    g = np.empty((len(moments), p), dtype=dtype)
-    r = np.arange(n_r).astype(dtype)
-    k_step = max(1, _CHUNK_ENTRIES // n_r)
-    r_pow = _pow_range(r, min(k_step, p), modulus, dtype)
-    r_shift = np.ones(n_r, dtype=dtype)  # r^k0
-    for k0 in range(0, p, k_step):
-        g[:, k0 : k0 + k_step] = moments @ (r_pow[:, : p - k0] * r_shift[:, None] % modulus) % modulus
-        r_shift = r_shift * r_pow[:, -1] % modulus * r % modulus
-    g = g.reshape(rows, n_j, p) * inv_fact % modulus
-    coef = _pow_range(p, n_j, modulus, dtype) * inv_fact[:n_j] % modulus
-    s = np.zeros((rows, p), dtype=dtype)
-    for j in range(n_j):
-        s[:, j:] += coef[j] * g[:, j, : p - j] % modulus
-    return s % modulus * fact % modulus
-
-
-def _numerator_residues(
-    table: np.ndarray, discs: Sequence[int], p: int, e: int, two_ms: Sequence[int]
-) -> np.ndarray:
-    """N(n) = D B(n, chi_D) mod p^e for each row and each even n <= p - 1 in two_ms.
-
-    table holds one period of chi_D per row (see _period_table).
-    """
-    sums = _twisted_sums(table, p, e)
-    return _egf_numerators(discs, p, p**e, sums, two_ms)
 
 
 def _chi_hits_batch(
@@ -246,21 +178,6 @@ def _chi_hits_batch(
     for i in np.flatnonzero(~coprime).tolist():
         hits[i] = _chi_hits_exact(p, p, strict)
     return [tuple(h) for h in hits]
-
-
-def l_chi_residues(d: int, p: int) -> list[int]:
-    """L(1-2m, chi_D) mod p for m = 1, ..., (p - 1)/2, from one kernel call.
-
-    L(1-2m, chi_D) = -N(2m) / (2m D); needs p coprime to D.
-    """
-    validate_fundamental_discriminant(d)
-    if not is_odd_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
-    if d % p == 0:
-        raise ValueError(f"modular reduction needs p coprime to the discriminant ({p} | {d})")
-    nums = _numerator_residues(character_values(d)[None], [d], p, 1, range(2, p, 2))[0].tolist()
-    d_inv = pow(d, -1, p)
-    return [-n * d_inv * pow(2 * m, -1, p) % p for m, n in enumerate(nums, 1)]
 
 
 def _chi_hits_exact(d: int, p: int, strict: bool) -> list[tuple[int, int]]:
@@ -325,12 +242,11 @@ def _bernoulli_valuation(p: int, n: int) -> int:
 
 def classical_irregularity_index(p: int) -> IndexRecord:
     """Classical index: even n <= p - 3 with p | B_n."""
-    table = bernoulli_mod_table(p)
-    hits = []
-    for n in range(2, p - 2, 2):
-        if table[n] == 0:
-            hits.append((n, _bernoulli_valuation(p, n)))
-    return IndexRecord(None, p, p - 1, "classical", tuple(hits))
+    if not is_odd_prime(p):
+        raise ValueError(f"{p} is not an odd prime")
+    residues = bernoulli_residues_mod(p, p)
+    hits = tuple((n, _bernoulli_valuation(p, n)) for n in range(2, p - 2, 2) if residues[n] == 0)
+    return IndexRecord(None, p, p - 1, "classical", hits)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """Special values zeta(1-2m), L(1-2m, chi_D), zeta_D(1-2m).
 
-Three computation routes, all exact rationals:
+Three exact-rational routes:
 
 * Riemann factor:      zeta(1-2m) = -B_{2m} / (2m)
 * character factor:    L(1-2m, chi) = -B(2m, chi) / (2m)
 * field zeta:          zeta_D(1-2m) = zeta(1-2m) * L(1-2m, chi)
+
+The character factor also has a modular route for p coprime to D:
+l_chi_mod (one m) and l_chi_residues (every m up to (p - 1)/2) read the
+numerator kernel of bernoulli.py.  The field zeta has none, as the Riemann
+factor is not p-integral at the top exponent.
 
 For m = 1, 2 there is also the batch route via Siegel's divisor-sum
 formulas, which is subpolynomial per discriminant when D varies:
@@ -21,15 +26,21 @@ before trusting a large batch run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
 
-from .bernoulli import bernoulli_exact, generalized_bernoulli_exact, generalized_bernoulli_mod
+from .bernoulli import (
+    _check_modular,
+    _numerator_residues,
+    bernoulli_exact,
+    generalized_bernoulli_exact,
+    generalized_bernoulli_mod,
+)
 from .numtheory import (
     SigmaTable,
+    character_values,
     divisor_sigma_sieve,
     enumerate_fundamental_discriminants,
     validate_fundamental_discriminant,
@@ -57,57 +68,42 @@ def l_chi_exact(d: int, m: int) -> Fraction:
     return -generalized_bernoulli_exact(d, 2 * m) / (2 * m)
 
 
-def l_chi_mod(d: int, m: int, p: int) -> int:
-    """L(1 - 2m, chi_d) mod p; needs p coprime to d.
+def _l_from_bernoulli(b: int, m: int, p: int) -> int:
+    """L(1 - 2m, chi) = -B(2m, chi) / (2m), mod p."""
+    return -b * pow(2 * m, -1, p) % p
 
-    The modular (EGF-kernel) route requires 2m <= p - 1; beyond that the
-    value is still p-integral (the conductor is not p), so it is computed
-    exactly and reduced.
+
+def l_chi_mod(d: int, m: int, p: int) -> int:
+    """L(1 - 2m, chi_d) mod p for an odd prime p coprime to d.
+
+    The kernel route requires 2m <= p - 1; beyond that the value is still
+    p-integral (the conductor is not p), so it is computed exactly and reduced.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    _check_modular(d, p)
     if 2 * m > p - 1:
-        validate_fundamental_discriminant(d)
-        if d % p == 0:
-            raise ValueError(f"modular reduction needs p coprime to the discriminant ({p} | {d})")
         value = l_chi_exact(d, m)
         if value.denominator % p == 0:
             raise ArithmeticError(f"L(1-{2 * m}, chi_{d}) is not {p}-integral")
         return value.numerator * pow(value.denominator, -1, p) % p
-    b = generalized_bernoulli_mod(d, 2 * m, p)
-    return (-b * pow(2 * m, -1, p)) % p
+    return _l_from_bernoulli(generalized_bernoulli_mod(d, 2 * m, p), m, p)
+
+
+def l_chi_residues(d: int, p: int) -> list[int]:
+    """L(1-2m, chi_d) mod p for m = 1, ..., (p - 1)/2, from one kernel call.
+
+    B(2m, chi_d) = N(2m) / d; needs an odd prime p coprime to d.
+    """
+    _check_modular(d, p)
+    nums = _numerator_residues(character_values(d)[None], [d], p, 1, range(2, p, 2))[0].tolist()
+    d_inv = pow(d, -1, p)
+    return [_l_from_bernoulli(n * d_inv, m, p) for m, n in enumerate(nums, 1)]
 
 
 def zeta_d_exact(d: int, m: int) -> Fraction:
     """zeta_D(1 - 2m) = zeta(1 - 2m) * L(1 - 2m, chi_D)."""
     return riemann_zeta_neg(m) * l_chi_exact(d, m)
-
-
-@dataclass(frozen=True)
-class SpecialValue:
-    """A tagged special value: Riemann zeta, character L, or field zeta."""
-
-    kind: str  # "riemann" | "l_chi" | "zeta_d"
-    discriminant: int | None
-    m: int
-    value: Fraction | int
-
-
-def special_value(kind: str, m: int, d: int | None = None, mod: int | None = None) -> SpecialValue:
-    if kind == "riemann":
-        return SpecialValue("riemann", None, m, riemann_zeta_neg(m))
-    if d is None:
-        raise ValueError(f"{kind} values need a discriminant")
-    validate_fundamental_discriminant(d)
-    if kind == "l_chi":
-        val = l_chi_mod(d, m, mod) if mod is not None else l_chi_exact(d, m)
-    elif kind == "zeta_d":
-        if mod is not None:
-            raise ValueError("zeta_d has no modular route (the Riemann factor is not p-integral)")
-        val = zeta_d_exact(d, m)
-    else:
-        raise ValueError(f"unknown special value kind {kind!r}")
-    return SpecialValue(kind, d, m, val)
 
 
 def _check_sigma(m: int, hi: int, sigma: SigmaTable) -> None:

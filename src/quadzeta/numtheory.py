@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -272,21 +271,3 @@ def character_values(d: int, spf: np.ndarray | None = None) -> np.ndarray:
     vals = character_table([d], d + 1, spf)[0]
     vals.setflags(write=False)
     return vals
-
-
-@dataclass(frozen=True)
-class QuadraticCharacter:
-    """The real primitive character a -> (discriminant/a)."""
-
-    discriminant: int
-
-    def __post_init__(self) -> None:
-        validate_fundamental_discriminant(self.discriminant)
-
-    def __call__(self, a: int) -> int:
-        return kronecker_symbol(self.discriminant, a)
-
-    @lru_cache(maxsize=None)
-    def values(self) -> np.ndarray:
-        """One full period of character values, indexed 0..D."""
-        return character_values(self.discriminant)

@@ -1,17 +1,25 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from quadzeta import bernoulli
 from quadzeta.bernoulli import (
+    _exact_power_sums,
+    _twisted_sums,
     bernoulli_exact,
-    bernoulli_mod_table,
     bernoulli_residues_mod,
-    character_power_sums,
     generalized_bernoulli_exact,
     generalized_bernoulli_mod,
 )
-from quadzeta.numtheory import enumerate_fundamental_discriminants, odd_primes_up_to, p_adic_valuation
+from quadzeta.irregularity import classical_irregularity_index
+from quadzeta.numtheory import (
+    character_values,
+    enumerate_fundamental_discriminants,
+    odd_primes_up_to,
+    p_adic_valuation,
+)
 
 
 def test_bernoulli_small_values():
@@ -40,25 +48,21 @@ def test_von_staudt_clausen_denominators():
 
 
 def test_modular_table_examples():
-    assert bernoulli_mod_table(7)[2] == pow(6, -1, 7) % 7  # 1/6 mod 7 = 6
-    assert bernoulli_mod_table(7)[2] == 6
-    assert bernoulli_mod_table(5)[2] == 1
-    assert bernoulli_mod_table(101)[0] == 1
+    assert bernoulli_residues_mod(7, 7)[2] == pow(6, -1, 7) % 7  # 1/6 mod 7 = 6
+    assert bernoulli_residues_mod(7, 7)[2] == 6
+    assert bernoulli_residues_mod(5, 5)[2] == 1
+    assert bernoulli_residues_mod(101, 101)[0] == 1
 
 
 def test_modular_table_guards():
-    table = bernoulli_mod_table(13)
+    assert len(bernoulli_residues_mod(13, 13)) == 12  # B_12 is absent: (p-1) | n
     with pytest.raises(ValueError):
-        table[12]  # (p-1) | n
-    with pytest.raises(ValueError):
-        table[3]
-    with pytest.raises(ValueError):
-        bernoulli_mod_table(9)
+        classical_irregularity_index(9)
 
 
 def test_modular_matches_exact_below_100():
     for p in odd_primes_up_to(100):
-        table = bernoulli_mod_table(p)
+        table = bernoulli_residues_mod(p, p)
         for n in range(0, p - 2, 2):
             b = bernoulli_exact(n)
             assert table[n] == b.numerator * pow(b.denominator, -1, p) % p, (p, n)
@@ -73,16 +77,18 @@ def test_bernoulli_residues_prime_power_consistency():
 
 
 def test_character_power_sums_examples():
-    sums = character_power_sums(5, 2)
+    sums = _exact_power_sums(5, 2)
     assert sums[0] == 0
     assert sums[2] == 4  # 1 - 4 - 9 + 16
-    assert character_power_sums(8, 0)[0] == 0
+    assert _exact_power_sums(8, 0)[0] == 0
 
 
 def test_character_power_sums_modular_reduction():
-    exact = character_power_sums(12, 10).sums
-    mod = character_power_sums(12, 10, modulus=7).sums
-    assert all(e % 7 == m for e, m in zip(exact, mod))
+    # the kernel's sums S_0 .. S_{p-1} mod p^e, for D below, near and above p^2
+    for d, p, e in ((12, 7, 1), (12, 7, 2), (12, 3, 2), (1685, 7, 3), (13, 11, 1)):
+        exact = _exact_power_sums(d, p - 1)[:p]
+        mod = _twisted_sums(character_values(d)[None], p, e)[0].tolist()
+        assert mod == [s % p**e for s in exact], (d, p, e)
 
 
 def test_generalized_bernoulli_examples():
@@ -162,14 +168,29 @@ def test_exact_sums_cache_is_a_bounded_lru():
     discs = enumerate_fundamental_discriminants(2, 4000)[: size + 100]
     assert len(discs) == size + 100
     for d in discs:
-        assert character_power_sums(d, 2)[0] == 0
+        assert _exact_power_sums(d, 2)[0] == 0
         assert len(bernoulli._exact_sums_cache) <= size
     assert len(bernoulli._exact_sums_cache) == size
     assert list(bernoulli._exact_sums_cache)[-1] == discs[-1]
     assert discs[0] not in bernoulli._exact_sums_cache
     # a hit moves its entry to the recent end, so the next miss evicts another
     oldest, second = discs[-size], discs[-size + 1]
-    character_power_sums(oldest, 1)
-    character_power_sums(4001, 1)
+    _exact_power_sums(oldest, 1)
+    _exact_power_sums(4001, 1)
     assert oldest in bernoulli._exact_sums_cache
     assert second not in bernoulli._exact_sums_cache
+
+
+def test_int64_policy_lives_in_bernoulli():
+    # the int64 budget and the kernel helpers that assert it have one owner
+    owned = {"_INT64_BUDGET", "_factorials", "_pow_range", "_egf_numerators", "_twisted_sums"}
+    used = []
+    for path in sorted(Path(bernoulli.__file__).parent.glob("*.py")):
+        if path.name == "bernoulli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                used += [(path.name, alias.name) for alias in node.names if alias.name in owned]
+            elif isinstance(node, ast.Attribute) and node.attr in owned:
+                used.append((path.name, node.attr))
+    assert used == []

@@ -194,6 +194,9 @@ def test_histogram_matches_per_value_route(capsys, small_grid, d, p):
         residues = [lvalues.l_chi_mod(d, m, p) for m in range(1, (p - 1) // 2 + 1)]
         cli._emit_distribution(stats.residue_histogram(residues, p), fmt)
         assert out == capsys.readouterr().out
+    # an independent reference: the exact values, reduced
+    exact = [lvalues.l_chi_exact(d, m) for m in range(1, (p - 1) // 2 + 1)]
+    assert residues == [q.numerator * pow(q.denominator, -1, p) % p for q in exact]
 
 
 @pytest.fixture(scope="module")

@@ -9,10 +9,11 @@ block against _chi_hits_exact.
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadzeta import irregularity
+from quadzeta import bernoulli, irregularity
 
 from quadzeta.bernoulli import (
     _np_safe,
+    _numerator_residues,
     bernoulli_exact,
     bernoulli_residues_mod,
     generalized_bernoulli_exact,
@@ -20,7 +21,6 @@ from quadzeta.bernoulli import (
 from quadzeta.irregularity import (
     _chi_hits_exact,
     _max_np_exponent,
-    _numerator_residues,
     compute_grid_block,
 )
 from quadzeta.numtheory import (
@@ -127,7 +127,7 @@ def test_zero_residue_fallback_matches_exact(monkeypatch):
 
 def test_chunked_kernel_matches_exact(monkeypatch):
     # a tiny budget splits both the rows (moments) and the columns (powers r^k)
-    monkeypatch.setattr(irregularity, "_CHUNK_ENTRIES", 50)
+    monkeypatch.setattr(bernoulli, "_CHUNK_ENTRIES", 50)
     for p in (3, 7, 13, 59):
         records = compute_grid_block(100, 300, (p,))
         assert [(r.discriminant, r.prime, r.hits) for r in records] == _oracle_records(100, 300, p)

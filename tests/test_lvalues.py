@@ -2,15 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+from quadzeta.bernoulli import _np_safe
 from quadzeta.lvalues import (
     l_chi_exact,
     l_chi_mod,
+    l_chi_residues,
     l_from_siegel,
     riemann_zeta_neg,
     siegel_batch,
     siegel_divisor_sums,
     siegel_divisor_sums_mod,
-    special_value,
     validate_siegel_gate,
     zeta_d_exact,
 )
@@ -45,6 +46,22 @@ def test_l_chi_mod_rejects_shared_factor():
         l_chi_mod(5, 1, 5)
     with pytest.raises(ValueError):
         l_chi_mod(12, 1, 3)
+    # p is checked on the exact branch (2m > p - 1) as well
+    for d, m, p in ((5, 10, 9), (5, 1, 2), (8, 3, 1)):
+        with pytest.raises(ValueError, match="not an odd prime"):
+            l_chi_mod(d, m, p)
+
+
+def test_l_chi_mod_beyond_int64_square():
+    # at p = 6007 the kernel runs mod p only: p^2 residues overflow its int64 budget
+    p = 6007
+    assert not _np_safe(p, p * p)
+    for d in (5, 8, 6009):
+        residues = l_chi_residues(d, p)
+        for m in (1, 2):
+            exact = l_chi_exact(d, m)
+            reduced = exact.numerator * pow(exact.denominator, -1, p) % p
+            assert l_chi_mod(d, m, p) == reduced == residues[m - 1], (d, m)
 
 
 def test_zeta_d_exact_examples():
@@ -137,14 +154,3 @@ def test_values_are_exact_rationals():
     assert isinstance(zeta_d_exact(12, 2), Fraction)
     for _, z in siegel_batch(1, 2, 20):
         assert isinstance(z, Fraction)
-
-
-def test_special_value_wrapper():
-    assert special_value("riemann", 1).value == Fraction(-1, 12)
-    assert special_value("l_chi", 1, 5).value == Fraction(-2, 5)
-    assert special_value("zeta_d", 1, 5).value == Fraction(1, 30)
-    assert special_value("l_chi", 1, 5, mod=7).value == 1
-    with pytest.raises(ValueError):
-        special_value("zeta_d", 1, 5, mod=7)
-    with pytest.raises(ValueError):
-        special_value("l_chi", 1)

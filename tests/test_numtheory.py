@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from quadzeta.numtheory import (
-    QuadraticCharacter,
     character_table,
     character_values,
     divisor_sigma_sieve,
@@ -93,14 +92,6 @@ def test_smallest_prime_factors_match_trial_division():
     assert spf[0] == spf[1] == 0
     for n in range(2, 3000):
         assert spf[n] == next(q for q in range(2, n + 1) if n % q == 0), n
-
-
-def test_quadratic_character_type():
-    chi = QuadraticCharacter(5)
-    assert [chi(a) for a in range(1, 5)] == [1, -1, -1, 1]
-    assert chi(10) == 0
-    with pytest.raises(ValueError):
-        QuadraticCharacter(9)
 
 
 def test_fundamental_discriminant_examples():
