@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import multiprocessing as mp
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -180,20 +181,25 @@ def _chi_hits_batch(
     return [tuple(h) for h in hits]
 
 
-def _chi_hits_exact(d: int, p: int, strict: bool) -> list[tuple[int, int]]:
-    """Exact-rational kernel; handles D = p and doubles as a test oracle."""
-    bound = delta(d, p)
+def _exact_hits(
+    value: Callable[[int], Fraction], p: int, bound: int, top_shift: int, strict: bool
+) -> list[tuple[int, int]]:
+    """Hits (2m, v_p(value(m))) over the even test range 2 <= 2m <= bound.
+
+    The top valuation gains top_shift: 1 when the tested quantity there is
+    p * value(bound/2).
+    """
     hits = []
-    for two_m in range(2, bound - 1, 2):
-        v = p_adic_valuation(l_chi_exact(d, two_m // 2), p)
+    for two_m in range(2, bound + 1, 2):
+        v = p_adic_valuation(value(two_m // 2), p) + (top_shift if two_m == bound else 0)
         if v >= 1 or (strict and v != 0):
             hits.append((two_m, int(v)))
-    v_top = p_adic_valuation(l_chi_exact(d, bound // 2), p)
-    if d == p:
-        v_top += 1  # tested quantity is p * L(1 - delta, chi)
-    if v_top >= 1 or (strict and v_top != 0):
-        hits.append((bound, int(v_top)))
     return hits
+
+
+def _chi_hits_exact(d: int, p: int, strict: bool) -> list[tuple[int, int]]:
+    """Exact-rational kernel; handles D = p and doubles as a test oracle."""
+    return _exact_hits(lambda n: l_chi_exact(d, n), p, delta(d, p), int(d == p), strict)
 
 
 def chi_irregularity_index(d: int, p: int, strict: bool = False) -> IndexRecord:
@@ -202,31 +208,19 @@ def chi_irregularity_index(d: int, p: int, strict: bool = False) -> IndexRecord:
     strict=True additionally counts tested values with negative valuation
     (sensitivity analysis only; the standard definition ignores them).
     """
-    validate_fundamental_discriminant(d)
-    if not is_odd_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
+    bound = delta(d, p)
     hits = _chi_hits_batch(character_values(d)[None], [d], p, strict)[0]
-    return IndexRecord(d, p, delta(d, p), "chi", hits)
+    return IndexRecord(d, p, bound, "chi", hits)
 
 
 def d_irregularity_index(d: int, p: int, strict: bool = False) -> IndexRecord:
     """Index of D-irregularity of p, from the field zeta values.
 
     Exact-rational throughout; intended for moderate p, where the Bernoulli
-    numbers B_{2m} with 2m < p stay cheap.
+    numbers B_{2m} with 2m < p stay cheap.  The top value is p * zeta_D(1 - delta).
     """
-    validate_fundamental_discriminant(d)
-    if not is_odd_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
     bound = delta(d, p)
-    hits = []
-    for two_m in range(2, bound - 1, 2):
-        v = p_adic_valuation(zeta_d_exact(d, two_m // 2), p)
-        if v >= 1 or (strict and v != 0):
-            hits.append((two_m, int(v)))
-    v_top = p_adic_valuation(zeta_d_exact(d, bound // 2), p) + 1  # p * zeta_D(1 - delta)
-    if v_top >= 1 or (strict and v_top != 0):
-        hits.append((bound, int(v_top)))
+    hits = _exact_hits(lambda n: zeta_d_exact(d, n), p, bound, 1, strict)
     return IndexRecord(d, p, bound, "d", tuple(hits))
 
 

@@ -204,14 +204,16 @@ def read_manifest(directory: Path) -> ScanManifest:
 def load_records(directory: Path, allow_partial: bool = False) -> list[IndexRecord]:
     """Read every completed shard in range order; reject incomplete scans.
 
-    A completed shard must carry a digest, and its file must match it.  Each
-    record's block key (p for a fixed-disc scan, D otherwise) must lie in
-    its shard's [lo, hi).
+    The manifest's shard spans must follow one another with no gap and no
+    overlap.  A completed shard must carry a digest, and its file must match
+    it.  Each record's block key (p for a fixed-disc scan, D otherwise) must
+    lie in its shard's [lo, hi).
 
     Raises IncompleteScanError unless allow_partial is set; report commands
     map that onto the dedicated exit code.
     """
     manifest = read_manifest(directory)
+    manifest.validate_partition()
     if not manifest.complete and not allow_partial:
         raise IncompleteScanError(f"scan in {directory} is incomplete")
     block_key = attrgetter("prime" if manifest.kind == "fixed-disc" else "discriminant")

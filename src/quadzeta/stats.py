@@ -112,6 +112,11 @@ def group_indices(counts: Sequence[float], tail_from: int | None) -> tuple[list[
     return labels, head + [tail]
 
 
+def _chi_squared(observed: Sequence, expected: Sequence) -> float:
+    """sum((o - e)^2 / e) in category order; exact on Fractions until the final float."""
+    return float(sum((o - e) ** 2 / e for o, e in zip(observed, expected)))
+
+
 def chi_squared_statistic(
     observed: Sequence[float], expected: Sequence[float], tail_from: int | None = 3
 ) -> tuple[float, int]:
@@ -126,8 +131,7 @@ def chi_squared_statistic(
         raise ValueError("observed and expected category counts differ")
     if any(e <= 0 for e in exp):
         raise ValueError("every grouped category needs a positive expected count")
-    stat = sum((o - e) ** 2 / e for o, e in zip(obs, exp))
-    return float(stat), len(exp) - 1
+    return _chi_squared(obs, exp), len(exp) - 1
 
 
 @dataclass(frozen=True)
@@ -152,26 +156,26 @@ class DistributionTable:
     grouped_expected: tuple[float, ...]
 
 
-def _empty_table(population: str) -> DistributionTable:
+def _table(
+    population: str, size: float, categories: Sequence[str], observed: Sequence,
+    expected: Sequence, fractions: Sequence, grouped: tuple | None = None,
+) -> DistributionTable:
+    """The one DistributionTable constructor; it tests grouped (labels, observed,
+    expected) rows, or the rows themselves when grouped is None.
+
+    Significance is 1.0 only for a table without categories; a single
+    category has df 0, which significance() rejects.
+    """
+    labels, g_obs, g_exp = grouped if grouped is not None else (categories, observed, expected)
+    stat = _chi_squared(g_obs, g_exp)
+    df = max(len(g_obs) - 1, 0)
     return DistributionTable(
-        population=population,
-        size=0,
-        categories=(),
-        observed=(),
-        expected=(),
-        fractions=(),
-        chi_squared=0.0,
-        df=0,
-        significance=1.0,
-        grouped_labels=(),
-        grouped_observed=(),
-        grouped_expected=(),
+        population=population, size=size, categories=tuple(categories),
+        observed=tuple(observed), expected=tuple(expected), fractions=tuple(fractions),
+        chi_squared=stat, df=df, significance=significance(stat, df) if labels else 1.0,
+        grouped_labels=tuple(labels), grouped_observed=tuple(g_obs),
+        grouped_expected=tuple(g_exp),
     )
-
-
-def _population_label(records: Sequence[IndexRecord]) -> str:
-    discs = {rec.discriminant for rec in records}
-    return "primes-fixed-D" if len(discs) == 1 else "pairs-varying-D"
 
 
 def observed_counts(records: Sequence[IndexRecord], r_max: int | None = None) -> list[int]:
@@ -182,10 +186,6 @@ def observed_counts(records: Sequence[IndexRecord], r_max: int | None = None) ->
     for rec in records:
         counts[rec.index] += 1
     return counts
-
-
-def expected_counts_limit(size: float, r_max: int) -> list[float]:
-    return [size * limit_fraction(r) for r in range(r_max + 1)]
 
 
 def expected_counts_exact(records: Sequence[IndexRecord], r_max: int) -> list[float]:
@@ -203,10 +203,7 @@ def expected_counts_exact(records: Sequence[IndexRecord], r_max: int) -> list[fl
 
 
 def build_distribution(
-    records: Sequence[IndexRecord],
-    prediction: str = "limit",
-    tail_from: int | None = 3,
-    r_max: int | None = None,
+    records: Sequence[IndexRecord], prediction: str = "limit", tail_from: int | None = 3
 ) -> DistributionTable:
     """Distribution table for a homogeneous record stream.
 
@@ -216,21 +213,21 @@ def build_distribution(
     """
     records = list(records)
     if not records:
-        return _empty_table("empty")
+        return _table("empty", 0, (), (), (), ())
     if prediction not in ("limit", "exact"):
         raise ValueError(f"unknown prediction mode {prediction!r}")
     size = len(records)
-    floor = r_max or 0
+    floor = 0
     if tail_from is not None:
-        floor = max(floor, tail_from)
+        floor = tail_from
     elif prediction == "exact":
         # categories must be exhaustive: pad out to the largest trial count
-        floor = max(floor, max((rec.prime - 1) // 2 for rec in records))
+        floor = max((rec.prime - 1) // 2 for rec in records)
     counts = observed_counts(records, floor)
     top = len(counts) - 1
     if prediction == "limit":
-        expected = expected_counts_limit(size, top)
         fractions = [limit_fraction(r) for r in range(top + 1)]
+        expected = [size * f for f in fractions]
     else:
         expected = expected_counts_exact(records, top)
         fractions = [e / size for e in expected]
@@ -242,22 +239,10 @@ def build_distribution(
             g_exp[-1] = size * (1.0 - sum(limit_fraction(r) for r in range(tail_from)))
         else:
             g_exp[-1] = size - sum(g_exp[:-1])
-    stat = sum((o - e) ** 2 / e for o, e in zip(g_obs, g_exp))
-    df = len(g_obs) - 1
-    return DistributionTable(
-        population=_population_label(records),
-        size=size,
-        categories=tuple(str(r) for r in range(top + 1)),
-        observed=tuple(float(c) for c in counts),
-        expected=tuple(expected),
-        fractions=tuple(fractions),
-        chi_squared=float(stat),
-        df=df,
-        significance=significance(float(stat), df),
-        grouped_labels=tuple(g_labels),
-        grouped_observed=tuple(float(o) for o in g_obs),
-        grouped_expected=tuple(float(e) for e in g_exp),
-    )
+    one_disc = len({rec.discriminant for rec in records}) == 1
+    return _table("primes-fixed-D" if one_disc else "pairs-varying-D", size,
+                  [str(r) for r in range(top + 1)], [float(c) for c in counts], expected, fractions,
+                  (g_labels, [float(o) for o in g_obs], [float(e) for e in g_exp]))
 
 
 @dataclass(frozen=True)
@@ -270,10 +255,7 @@ class AggregateReport:
 
 
 def aggregate_across_discriminants(
-    records: Sequence[IndexRecord],
-    prediction: str = "limit",
-    tail_from: int | None = 3,
-    r_max: int | None = None,
+    records: Sequence[IndexRecord], prediction: str = "limit", tail_from: int | None = 3
 ) -> AggregateReport:
     """Apply the averaged-counts methodology next to the plain totals.
 
@@ -283,30 +265,18 @@ def aggregate_across_discriminants(
     the statistic, so treat its significance as descriptive only.
     """
     records = list(records)
-    totals = build_distribution(records, prediction, tail_from, r_max)
+    totals = build_distribution(records, prediction, tail_from)
     n_disc = len({rec.discriminant for rec in records})
     if n_disc == 0:
         return AggregateReport(totals=totals, averages=totals, discriminants=0)
-    avg_obs = [Fraction(int(o)) / n_disc for o in totals.observed]
-    avg_exp = [Fraction(e) / n_disc for e in totals.expected]
-    g_obs = [Fraction(int(o)) / n_disc for o in totals.grouped_observed]
-    g_exp = [Fraction(e) / n_disc for e in totals.grouped_expected]
-    stat = float(sum((o - e) ** 2 / e for o, e in zip(g_obs, g_exp)))
-    df = len(g_obs) - 1 if g_obs else 0
-    averages = DistributionTable(
-        population=totals.population,
-        size=totals.size / n_disc,
-        categories=totals.categories,
-        observed=tuple(avg_obs),
-        expected=tuple(avg_exp),
-        fractions=totals.fractions,
-        chi_squared=stat,
-        df=df,
-        significance=significance(stat, df) if df else 1.0,
-        grouped_labels=totals.grouped_labels,
-        grouped_observed=tuple(g_obs),
-        grouped_expected=tuple(g_exp),
-    )
+
+    def mean(counts):
+        return [Fraction(c) / n_disc for c in counts]
+
+    averages = _table(totals.population, totals.size / n_disc, totals.categories,
+                      mean(totals.observed), mean(totals.expected), totals.fractions,
+                      (totals.grouped_labels, mean(totals.grouped_observed),
+                       mean(totals.grouped_expected)))
     return AggregateReport(totals=totals, averages=averages, discriminants=n_disc)
 
 
@@ -327,34 +297,12 @@ def residue_class_report(
     if not set(irregular) <= set(all_primes):
         raise ValueError("irregular primes must be a subset of the reference primes")
     classes = sorted({p % n for p in all_primes})
-    total_by_class = {c: 0 for c in classes}
-    irregular_by_class = {c: 0 for c in classes}
-    for p in all_primes:
-        total_by_class[p % n] += 1
-    for p in irregular:
-        irregular_by_class[p % n] += 1
-    total = len(all_primes)
-    n_irr = len(irregular)
+    total_by_class = Counter(p % n for p in all_primes)
+    irregular_by_class = Counter(p % n for p in irregular)
+    shares = [total_by_class[c] / len(all_primes) for c in classes]
     observed = [float(irregular_by_class[c]) for c in classes]
-    shares = [total_by_class[c] / total for c in classes]
-    expected = [n_irr * s for s in shares]
-    stat = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
-    df = len(classes) - 1
-    labels = tuple(str(c) for c in classes)
-    return DistributionTable(
-        population=f"irregular-primes-mod-{n}",
-        size=n_irr,
-        categories=labels,
-        observed=tuple(observed),
-        expected=tuple(expected),
-        fractions=tuple(shares),
-        chi_squared=float(stat),
-        df=df,
-        significance=significance(float(stat), df),
-        grouped_labels=labels,
-        grouped_observed=tuple(observed),
-        grouped_expected=tuple(expected),
-    )
+    return _table(f"irregular-primes-mod-{n}", len(irregular), [str(c) for c in classes],
+                  observed, [len(irregular) * s for s in shares], shares)
 
 
 @dataclass(frozen=True)
@@ -381,17 +329,16 @@ def ratio_uniformity_report(pairs: Sequence[IrregularPair], bins: int = 10) -> U
     hist = [0] * bins
     for v in values:
         hist[min(int(v * bins), bins - 1)] += 1
-    exp = n / bins
-    stat = sum((h - exp) ** 2 / exp for h in hist)
+    stat = _chi_squared(hist, [n / bins] * bins)
     d_plus = max((i + 1) / n - v for i, v in enumerate(values))
     d_minus = max(v - i / n for i, v in enumerate(values))
     return UniformityReport(
         count=n,
         bins=bins,
         histogram=tuple(hist),
-        chi_squared=float(stat),
+        chi_squared=stat,
         df=bins - 1,
-        significance=significance(float(stat), bins - 1),
+        significance=significance(stat, bins - 1),
         ks_statistic=max(d_plus, d_minus),
     )
 
@@ -404,22 +351,5 @@ def residue_histogram(values: Sequence[int], p: int) -> DistributionTable:
     for v in values:
         counts[v % p] += 1
     n = len(values)
-    exp = n / p
-    stat = sum((c - exp) ** 2 / exp for c in counts)
-    labels = tuple(str(r) for r in range(p))
-    observed = tuple(float(c) for c in counts)
-    expected = tuple(exp for _ in range(p))
-    return DistributionTable(
-        population=f"residues-mod-{p}",
-        size=n,
-        categories=labels,
-        observed=observed,
-        expected=expected,
-        fractions=tuple(1.0 / p for _ in range(p)),
-        chi_squared=float(stat),
-        df=p - 1,
-        significance=significance(float(stat), p - 1),
-        grouped_labels=labels,
-        grouped_observed=observed,
-        grouped_expected=expected,
-    )
+    return _table(f"residues-mod-{p}", n, [str(r) for r in range(p)], [float(c) for c in counts],
+                  [n / p] * p, [1.0 / p] * p)

@@ -18,7 +18,6 @@ from quadzeta.lvalues import (
 from quadzeta.numtheory import (
     divisor_sigma_sieve,
     enumerate_fundamental_discriminants,
-    odd_primes_up_to,
     p_adic_valuation,
 )
 
@@ -126,17 +125,6 @@ def test_divisor_sums_valuations_agree_between_modes():
         for p, r in ((3, int(r3)), (5, int(r5))):
             if r:
                 assert p_adic_valuation(s, p) == p_adic_valuation(r, p), (d, p)
-
-
-def test_modular_agreement_grid():
-    for d in enumerate_fundamental_discriminants(2, 100):
-        for p in odd_primes_up_to(100):
-            if d % p == 0:
-                continue
-            for m in range(1, (p - 1) // 2 + 1):
-                exact = l_chi_exact(d, m)
-                reduced = exact.numerator * pow(exact.denominator, -1, p) % p
-                assert l_chi_mod(d, m, p) == reduced, (d, m, p)
 
 
 def test_valuation_additivity_of_factors():

@@ -1,8 +1,13 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quadzeta import stats
 from quadzeta.irregularity import IndexRecord, IrregularPair
 from quadzeta.stats import (
     aggregate_across_discriminants,
@@ -222,3 +227,52 @@ def test_residue_histogram_from_l_values():
     table = residue_histogram(values, 7)
     assert table.size == 3
     assert sum(table.observed) == 3
+
+
+@st.composite
+def _record_lists(draw):
+    keys = draw(st.lists(st.tuples(st.sampled_from((5, 8, 12, 13, 17, 24)),
+                                   st.sampled_from((3, 5, 7, 11, 13))),
+                         min_size=1, max_size=30, unique=True))
+    # an index never exceeds the trial count (p - 1)/2, so exact categories stay positive
+    return [_record(d, p, draw(st.integers(0, min(4, (p - 1) // 2)))) for d, p in sorted(keys)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_record_lists(), st.sampled_from([("limit", 3), ("exact", None)]))
+def test_every_table_tests_its_grouped_rows(records, mode):
+    report = aggregate_across_discriminants(records, *mode)
+    for table in (report.totals, report.averages):
+        grouped = chi_squared_statistic(table.grouped_observed, table.grouped_expected,
+                                        tail_from=None)
+        assert table.chi_squared == grouped[0]
+        assert table.df == len(table.grouped_observed) - 1 == grouped[1]
+    assert report.averages.chi_squared == pytest.approx(
+        report.totals.chi_squared / report.discriminants, rel=1e-12)
+
+
+def test_empty_and_one_class_tables():
+    for table in (build_distribution([], "exact", tail_from=None),
+                  aggregate_across_discriminants([], "limit").averages):
+        assert (table.significance, table.df, table.chi_squared) == (1.0, 0, 0.0)
+        assert table.grouped_labels == ()
+    # 7 and 11 are both 3 mod 4: one class leaves no degree of freedom
+    with pytest.raises(ValueError, match="df must be positive"):
+        residue_class_report([7], [7, 11], 4)
+
+
+def test_one_distribution_table_constructor():
+    # every DistributionTable comes from stats._table, which owns the chi-squared test
+    sites = []
+    for path in sorted(Path(stats.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for func in ast.walk(tree):  # breadth first: inner functions overwrite outer ones
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if callee == "DistributionTable":
+                    sites.append((path.name, owner.get(node)))
+    assert sites == [("stats.py", "_table")]
