@@ -147,6 +147,7 @@ def cmd_scan(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     plan, manifest = _scan_plan(args)
+    total = 0  # records: those of the shards --resume reuses, then those written here
     if args.resume and (out / shards.MANIFEST_NAME).exists():
         previous = shards.read_manifest(out)
         if previous.kind != manifest.kind or previous.params != manifest.params:
@@ -161,6 +162,7 @@ def cmd_scan(args) -> int:
                 if shards.file_digest(out / old.name) == old.digest:
                     entry.digest = old.digest
                     entry.complete = True
+                    total += (out / old.name).read_bytes().count(b"\n") - 1
     pending = [entry for entry in manifest.shards if not entry.complete]
     shards.write_manifest(out, manifest)
     results = plan.run(args.workers, [(entry.lo, entry.hi) for entry in pending])
@@ -170,10 +172,7 @@ def cmd_scan(args) -> int:
         entry.digest = shards.file_digest(path)
         entry.complete = True
         shards.write_manifest(out, manifest)
-    total = 0
-    for entry in manifest.shards:
-        with open(out / entry.name) as fh:
-            total += sum(1 for _ in fh) - 1
+        total += len(records)
     print(f"scan {args.kind} complete: {len(manifest.shards)} shards, {total} records")
     return EXIT_OK
 

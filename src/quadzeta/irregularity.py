@@ -15,11 +15,14 @@ multiplied by p (the Riemann factor contributes valuation -1 there).
 
 classical index: count of even n <= p - 3 with p dividing B_n.
 
-The chi-index driver reads the numerators N(n) = D * B(n, chi) from the
-kernel in bernoulli.py, modulo p^e for one prime and a whole block of
-discriminants at once: a hit is v_p(N) >= 1 + v_p(D), read off the residues
-together with its valuation; only a residue that is exactly 0 is recomputed
-at a deeper prime power.
+All three read residues of the kernel in bernoulli.py, modulo p^e: the
+numerators N(n) = D * B(n, chi_D) for one prime and a whole block of
+discriminants at once, and the Bernoulli numbers B_n.  v_p(L(1-n, chi_D))
+is v_p(N(n)) - v_p(D), v_p(zeta_D(1-n)) adds v_p(B_n), and one reader
+(_valuations) takes every valuation off the residues; only a residue that
+is exactly 0 is recomputed at a deeper prime power.  One threshold step
+(_records) turns valuations into hits over the test range.  The
+exact-rational loops (_exact_hits) remain as test oracles.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .lvalues import (
     l_chi_exact,
     siegel_divisor_sums_mod,
     validate_siegel_gate,
-    zeta_d_exact,
 )
 from .numtheory import (
     SigmaTable,
@@ -97,12 +99,17 @@ def irregular_pairs(records: Iterable[IndexRecord]) -> list[IrregularPair]:
     return out
 
 
+def _delta(d, p: int):
+    """p - 1, halved where D = p; d may be an array of discriminants."""
+    return (p - 1) // (1 + (d == p))
+
+
 def delta(d: int, p: int) -> int:
     """Upper end of the even test range: p - 1, or (p - 1)/2 when D = p."""
     validate_fundamental_discriminant(d)
     if not is_odd_prime(p):
         raise ValueError(f"{p} is not an odd prime")
-    return (p - 1) // 2 if d == p else p - 1
+    return _delta(d, p)
 
 
 # ---------------------------------------------------------------------------
@@ -123,17 +130,28 @@ def _kernel_exponent(p: int, p_divides_d: bool) -> int:
     """Residue depth e of the chi-index kernel: N is computed mod p^e.
 
     As deep as int64 allows, and at least 2 when p divides some D of the
-    block, so that its hits (v_p(N) >= 2) are read directly.
+    block (D = p included), so that its hits (v_p(N) >= 2) are read directly.
     """
     return max(_max_np_exponent(p), 2 if p_divides_d else 1)
 
 
-def _int_valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+def _valuations(residues: np.ndarray, p: int, e: int, deeper: Callable[..., int]) -> np.ndarray:
+    """v_p of integers known mod p^e, one per entry of residues.
+
+    A residue that is exactly 0 says only v_p >= e: that entry is
+    recomputed as deeper(*index, depth), a value mod p^depth (or exactly),
+    at doubled depths until it is not 0.
+    """
+    valuation = np.zeros(residues.shape, dtype=np.int64)
+    for power in (p**k for k in range(1, e)):
+        valuation += residues % power == 0
+    for index in zip(*np.nonzero(residues == 0)):
+        depth, value = e, 0
+        while not value:
+            depth *= 2
+            value = int(deeper(*index, depth))
+        valuation[index] = p_adic_valuation(value, p)
+    return valuation
 
 
 def _period_table(discs: Sequence[int]) -> np.ndarray:
@@ -144,41 +162,47 @@ def _period_table(discs: Sequence[int]) -> np.ndarray:
     return table
 
 
-def _chi_hits_batch(
-    table: np.ndarray, discs: Sequence[int], p: int, strict: bool = False
-) -> list[tuple[tuple[int, int], ...]]:
-    """Hit tuples of the chi-index, one per row of table (one period of chi_D each).
-
-    For D != p a hit is v_p(L(1-n, chi_D)) = v_p(N(n)) - v_p(D) >= 1, read off
-    the residues of N mod p^e.  A residue that is exactly 0 is recomputed at a
-    doubled exponent until it is not.  D = p takes the exact route.
-    """
-    d_arr = np.asarray(discs)
-    coprime = d_arr != p
-    v_d = (d_arr % p == 0).astype(np.int64)
-    e = _kernel_exponent(p, bool(v_d[coprime].any()))
+def _chi_valuations(table: np.ndarray, discs: Sequence[int], p: int) -> np.ndarray:
+    """v_p(L(1 - n, chi_D)) = v_p(N(n)) - v_p(D) for each row of table (one
+    period of chi_D each) and each even n = 2, 4, ..., p - 1."""
+    v_d = (np.asarray(discs) % p == 0).astype(np.int64)
+    e = _kernel_exponent(p, bool(v_d.any()))
     two_ms = range(2, p, 2)
+
+    def deeper(i, h, depth):
+        return _numerator_residues(table[i : i + 1], discs[i : i + 1], p, depth, [two_ms[h]])[0, 0]
+
     residues = _numerator_residues(table, discs, p, e, two_ms)
-    valuation = np.zeros(residues.shape, dtype=np.int64)
-    for power in (p**k for k in range(1, e)):
-        valuation += residues % power == 0
-    for i, h in zip(*np.nonzero((residues == 0) & coprime[:, None])):
-        depth, value = e, 0
-        while not value:
-            depth *= 2
-            value = int(_numerator_residues(table[i : i + 1], discs[i : i + 1], p, depth,
-                                            [two_ms[h]])[0, 0])
-        valuation[i, h] = _int_valuation(value, p)
-    valuation -= v_d[:, None]
-    found = (valuation >= 1) | (strict & (valuation != 0))
-    found &= coprime[:, None]
+    return _valuations(residues, p, e, deeper) - v_d[:, None]
+
+
+def _bernoulli_valuations(p: int) -> np.ndarray:
+    """v_p(B_n) for the even n = 2, 4, ..., p - 3."""
+    e = _max_np_exponent(p)
+    residues = bernoulli_residues_mod(p, p**e)[2 : p - 2 : 2]
+    return _valuations(residues, p, e, lambda h, depth: bernoulli_residues_mod(p, p**depth)[2 * h + 2])
+
+
+def _records(
+    kind: str, valuation: np.ndarray, discs: Sequence[int], p: int, strict: bool = False
+) -> list[IndexRecord]:
+    """One record per discriminant, from valuation[i, h] = v_p of its value at 2m = 2h + 2.
+
+    The columns run up to 2m = p - 1; a row's test range ends at
+    delta(D, p), and for D = p the value tested there is p times the value,
+    so that column gains 1.  A hit has valuation >= 1, or under strict any
+    valuation other than 0.
+    """
+    d_arr = np.asarray(discs, dtype=np.int64)
+    bound = _delta(d_arr, p)[:, None]
+    two_m = np.arange(2, p, 2)
+    valuation = valuation + ((d_arr == p)[:, None] & (two_m == bound))
+    found = (two_m <= bound) & ((valuation >= 1) | (strict & (valuation != 0)))
     hits: list[list[tuple[int, int]]] = [[] for _ in discs]
     rows, cols = np.nonzero(found)
     for i, h, v in zip(rows.tolist(), cols.tolist(), valuation[found].tolist()):
-        hits[i].append((two_ms[h], v))
-    for i in np.flatnonzero(~coprime).tolist():
-        hits[i] = _chi_hits_exact(p, p, strict)
-    return [tuple(h) for h in hits]
+        hits[i].append((2 * h + 2, v))
+    return [IndexRecord(d, p, b, kind, tuple(h)) for d, b, h in zip(discs, bound[:, 0].tolist(), hits)]
 
 
 def _exact_hits(
@@ -187,7 +211,7 @@ def _exact_hits(
     """Hits (2m, v_p(value(m))) over the even test range 2 <= 2m <= bound.
 
     The top valuation gains top_shift: 1 when the tested quantity there is
-    p * value(bound/2).
+    p * value(bound/2).  A test oracle for the kernel routes.
     """
     hits = []
     for two_m in range(2, bound + 1, 2):
@@ -198,7 +222,7 @@ def _exact_hits(
 
 
 def _chi_hits_exact(d: int, p: int, strict: bool) -> list[tuple[int, int]]:
-    """Exact-rational kernel; handles D = p and doubles as a test oracle."""
+    """Exact-rational chi-index hits: the test oracle of the kernel."""
     return _exact_hits(lambda n: l_chi_exact(d, n), p, delta(d, p), int(d == p), strict)
 
 
@@ -208,38 +232,30 @@ def chi_irregularity_index(d: int, p: int, strict: bool = False) -> IndexRecord:
     strict=True additionally counts tested values with negative valuation
     (sensitivity analysis only; the standard definition ignores them).
     """
-    bound = delta(d, p)
-    hits = _chi_hits_batch(character_values(d)[None], [d], p, strict)[0]
-    return IndexRecord(d, p, bound, "chi", hits)
+    delta(d, p)  # validates D and p
+    valuation = _chi_valuations(character_values(d)[None], [d], p)
+    return _records("chi", valuation, [d], p, strict)[0]
 
 
 def d_irregularity_index(d: int, p: int, strict: bool = False) -> IndexRecord:
     """Index of D-irregularity of p, from the field zeta values.
 
-    Exact-rational throughout; intended for moderate p, where the Bernoulli
-    numbers B_{2m} with 2m < p stay cheap.  The top value is p * zeta_D(1 - delta).
+    v_p(zeta_D(1 - n)) = v_p(B_n) + v_p(L(1 - n, chi_D)), both read off the
+    kernel residues.  The top value is p * zeta_D(1 - delta); at n = p - 1
+    that factor p cancels v_p(B_{p-1}) = -1 (von Staudt-Clausen), so the
+    Bernoulli column there is 0.
     """
-    bound = delta(d, p)
-    hits = _exact_hits(lambda n: zeta_d_exact(d, n), p, bound, 1, strict)
-    return IndexRecord(d, p, bound, "d", tuple(hits))
-
-
-def _bernoulli_valuation(p: int, n: int) -> int:
-    e = max(2, _max_np_exponent(p))
-    while True:
-        modulus = p**e
-        residue = bernoulli_residues_mod(p, modulus)[n]
-        if residue:
-            return _int_valuation(residue, p)
-        e *= 2
+    delta(d, p)  # validates D and p
+    riemann = np.append(_bernoulli_valuations(p), 0)
+    valuation = _chi_valuations(character_values(d)[None], [d], p) + riemann
+    return _records("d", valuation, [d], p, strict)[0]
 
 
 def classical_irregularity_index(p: int) -> IndexRecord:
     """Classical index: even n <= p - 3 with p | B_n."""
     if not is_odd_prime(p):
         raise ValueError(f"{p} is not an odd prime")
-    residues = bernoulli_residues_mod(p, p)
-    hits = tuple((n, _bernoulli_valuation(p, n)) for n in range(2, p - 2, 2) if residues[n] == 0)
+    hits = tuple((2 * h + 2, v) for h, v in enumerate(_bernoulli_valuations(p).tolist()) if v)
     return IndexRecord(None, p, p - 1, "classical", hits)
 
 
@@ -263,13 +279,8 @@ def _block_ranges(lo: int, hi: int, size: int) -> list[tuple[int, int]]:
 def compute_fixed_disc_block(d: int, p_lo: int, p_hi: int) -> list[IndexRecord]:
     """chi-index records for all odd primes in [p_lo, p_hi), fixed D."""
     table = character_values(d)[None]
-    records = []
-    for p in odd_primes_up_to(p_hi):
-        if p < p_lo:
-            continue
-        hits = _chi_hits_batch(table, [d], p)[0]
-        records.append(IndexRecord(d, p, delta(d, p), "chi", hits))
-    return records
+    primes = [p for p in odd_primes_up_to(p_hi) if p >= p_lo]
+    return [_records("chi", _chi_valuations(table, [d], p), [d], p)[0] for p in primes]
 
 
 def compute_grid_block(d_lo: int, d_hi: int, primes: tuple[int, ...]) -> list[IndexRecord]:
@@ -280,33 +291,25 @@ def compute_grid_block(d_lo: int, d_hi: int, primes: tuple[int, ...]) -> list[In
     for lo in range(0, len(discs), step):
         group = discs[lo : lo + step]
         table = _period_table(group)
-        by_prime = [_chi_hits_batch(table, group, p) for p in primes]
-        for i, d in enumerate(group):
-            for p, hits in zip(primes, by_prime):
-                records.append(IndexRecord(d, p, delta(d, p), "chi", hits[i]))
+        by_prime = [_records("chi", _chi_valuations(table, group, p), group, p) for p in primes]
+        records.extend(rec for row in zip(*by_prime) for rec in row)
     return records
 
 
-def _exact_divisor_sum(d: int, k: int, sigma: SigmaTable) -> int:
+def _exact_divisor_sum(d: int, sigma: SigmaTable) -> int:
     total = 0
     for b in range(d & 1, math.isqrt(d - 1) + 1, 2):
         total += (1 if b == 0 else 2) * sigma[(d - b * b) // 4]
     return total
 
 
-def _valuations_with_fallback(
-    discs: list[int], residues: np.ndarray, p: int, k: int, sigma: SigmaTable
-) -> list[int]:
-    """v_p per divisor sum; exact recomputation where the residue route saturates."""
-    vals = []
-    for d, r in zip(discs, residues):
-        r = int(r)
-        if r == 0:
-            total = _exact_divisor_sum(d, k, sigma)
-            vals.append(_int_valuation(total, p))
-        else:
-            vals.append(_int_valuation(r, p))
-    return vals
+def _divisor_sum_valuations(
+    m: int, d_lo: int, d_hi: int, sigma: SigmaTable, p: int
+) -> tuple[list[int], np.ndarray]:
+    """(discriminants, v_p of their divisor sums), from residues mod p^_TABLE3_CAP[p]."""
+    e = _TABLE3_CAP[p]
+    discs, residues = siegel_divisor_sums_mod(m, d_lo, d_hi, sigma, p**e)
+    return discs, _valuations(residues, p, e, lambda i, depth: _exact_divisor_sum(discs[i], sigma))
 
 
 def compute_table3_block(
@@ -323,39 +326,18 @@ def compute_table3_block(
     for p = 5, L(-3) = S_3(D).  The sigma tables reach at least (d_hi - 1)/4;
     sigma3 is needed only for p = 5.
     """
-    discs, res1_3 = siegel_divisor_sums_mod(1, d_lo, d_hi, sigma1, 3**_TABLE3_CAP[3])
-    v3_s1 = _valuations_with_fallback(discs, res1_3, 3, 1, sigma1) if 3 in primes else None
-    if 5 in primes:
-        _, res1_5 = siegel_divisor_sums_mod(1, d_lo, d_hi, sigma1, 5**_TABLE3_CAP[5])
-        v5_s1 = _valuations_with_fallback(discs, res1_5, 5, 1, sigma1)
-        _, res3_5 = siegel_divisor_sums_mod(2, d_lo, d_hi, sigma3, 5**_TABLE3_CAP[5])
-        v5_s3 = _valuations_with_fallback(discs, res3_5, 5, 3, sigma3)
-    records = []
-    for i, d in enumerate(discs):
-        for p in primes:
-            hits = []
-            if p == 3:
-                v = v3_s1[i]  # v_3(L(-1)) = v_3(S_1)
-                if v >= 1:
-                    hits.append((2, v))
-                records.append(IndexRecord(d, 3, 2, "chi", tuple(hits)))
-            else:
-                if d == 5:
-                    # self-conductor case: single test of 5 * L(-1), and
-                    # v_5(5 * L(-1)) = v_5(S_1)
-                    v = v5_s1[i]
-                    if v >= 1:
-                        hits.append((2, v))
-                    records.append(IndexRecord(d, 5, 2, "chi", tuple(hits)))
-                else:
-                    v_interior = v5_s1[i] - 1  # v_5(L(-1)) = v_5(S_1) - 1
-                    if v_interior >= 1:
-                        hits.append((2, v_interior))
-                    v_top = v5_s3[i]  # v_5(L(-3)) = v_5(S_3)
-                    if v_top >= 1:
-                        hits.append((4, v_top))
-                    records.append(IndexRecord(d, 5, 4, "chi", tuple(hits)))
-    return records
+    by_prime = []
+    for p in primes:
+        discs, v_s1 = _divisor_sum_valuations(1, d_lo, d_hi, sigma1, p)
+        if p == 3:
+            valuation = v_s1[:, None]  # v_3(L(-1)) = v_3(S_1)
+        else:
+            # v_5(L(-1)) = v_5(S_1) - 1 (at D = 5, the tested 5 * L(-1) has
+            # v_5(S_1)), and v_5(L(-3)) = v_5(S_3)
+            _, v_s3 = _divisor_sum_valuations(2, d_lo, d_hi, sigma3, 5)
+            valuation = np.stack([v_s1 - 1, v_s3], axis=1)
+        by_prime.append(_records("chi", valuation, discs, p))
+    return [rec for row in zip(*by_prime) for rec in row]
 
 
 @dataclass(frozen=True)

@@ -205,8 +205,10 @@ def load_records(directory: Path, allow_partial: bool = False) -> list[IndexReco
     """Read every completed shard in range order; reject incomplete scans.
 
     The manifest's shard spans must follow one another with no gap and no
-    overlap.  A completed shard must carry a digest, and its file must match
-    it.  Each record's block key (p for a fixed-disc scan, D otherwise) must
+    overlap, from the start of the scan range to its end: p in [3, pmax)
+    for a fixed-disc scan, D in [max(dmin, 2), dmax) otherwise (the end is
+    checked where the params give it).  A completed shard must carry a
+    digest, and its file must match it.  Each record's block key (p for a fixed-disc scan, D otherwise) must
     lie in its shard's [lo, hi).
 
     Raises IncompleteScanError unless allow_partial is set; report commands
@@ -214,6 +216,12 @@ def load_records(directory: Path, allow_partial: bool = False) -> list[IndexReco
     """
     manifest = read_manifest(directory)
     manifest.validate_partition()
+    fixed = manifest.kind == "fixed-disc"
+    lo = 3 if fixed else max(int(manifest.params.get("dmin", 2)), 2)
+    hi = int(manifest.params.get("pmax" if fixed else "dmax", 0))
+    spans = sorted((s.lo, s.hi) for s in manifest.shards)
+    if spans and (spans[0][0] != lo or hi and spans[-1][1] != hi):
+        raise ValueError(f"shards do not partition the scan range [{lo}, {hi or 'end'})")
     if not manifest.complete and not allow_partial:
         raise IncompleteScanError(f"scan in {directory} is incomplete")
     block_key = attrgetter("prime" if manifest.kind == "fixed-disc" else "discriminant")

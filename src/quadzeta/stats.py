@@ -33,18 +33,12 @@ def limit_fraction(r: int) -> float:
     return 0.5**r * math.exp(-0.5) / math.factorial(r)
 
 
-def exact_index_distribution(p: int, is_d_equal_p: bool = False) -> list[Fraction]:
-    """Exact index probabilities at a small prime: binomial over T trials.
+def exact_index_distribution(p: int) -> list[Fraction]:
+    """Exact index probabilities at a small prime: binomial over T = (p-1)/2 trials.
 
-    T = (p-1)/2 in general; in the self-conductor case D = p the test range
-    halves, so T = (p-1)/4 (p = 1 mod 4 makes that an integer).
+    The self-conductor case D = p uses the same T by convention.
     """
-    if is_d_equal_p:
-        if p % 4 != 1:
-            raise ValueError("D = p requires p = 1 (mod 4)")
-        trials = (p - 1) // 4
-    else:
-        trials = (p - 1) // 2
+    trials = (p - 1) // 2
     q = Fraction(1, p)
     return [math.comb(trials, r) * q**r * (1 - q) ** (trials - r) for r in range(trials + 1)]
 
@@ -196,7 +190,7 @@ def expected_counts_exact(records: Sequence[IndexRecord], r_max: int) -> list[fl
     """
     totals = [Fraction(0)] * (r_max + 1)
     for p, count in Counter(rec.prime for rec in records).items():
-        probs = exact_index_distribution(p, is_d_equal_p=False)
+        probs = exact_index_distribution(p)
         for r in range(min(r_max + 1, len(probs))):
             totals[r] += count * probs[r]
     return [float(t) for t in totals]

@@ -4,7 +4,7 @@ import pytest
 
 from quadzeta import cli, lvalues, stats
 from quadzeta.cli import main
-from quadzeta.shards import MANIFEST_NAME, read_manifest
+from quadzeta.shards import MANIFEST_NAME, load_records, read_manifest, write_manifest
 
 
 def run(capsys, *argv):
@@ -116,6 +116,22 @@ def test_scan_resume_is_byte_identical(tmp_path, small_grid):
     for shard in sorted(small_grid.glob("*.csv")):
         assert (out / shard.name).read_bytes() == shard.read_bytes()
     assert read_manifest(out).complete
+
+
+def test_scan_prints_the_record_total(capsys, tmp_path):
+    # fixed-disc D = 5, p < 2500: three shards; the resume rewrites the middle one
+    argv = ["scan", "--kind", "fixed-disc", "--disc", "5", "--pmax", "2500", "--out", str(tmp_path)]
+    code, fresh, _ = run(capsys, *argv)
+    assert code == 0
+    total = len(load_records(tmp_path))
+    assert fresh == f"scan fixed-disc complete: 3 shards, {total} records\n"
+    manifest = read_manifest(tmp_path)
+    (tmp_path / manifest.shards[1].name).unlink()
+    manifest.shards[1].complete = False
+    write_manifest(tmp_path, manifest)
+    code, resumed, _ = run(capsys, *argv, "--resume")
+    assert code == 0 and resumed == fresh
+    assert len(load_records(tmp_path)) == total
 
 
 def test_resume_with_other_parameters_is_refused(capsys, tmp_path):

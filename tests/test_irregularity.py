@@ -1,12 +1,19 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import quadzeta
+from quadzeta import irregularity
 from quadzeta.bernoulli import bernoulli_exact
 from quadzeta.irregularity import (
     _block_ranges,
-    _chi_hits_batch,
     _chi_hits_exact,
+    _exact_hits,
     chi_irregularity_index,
     classical_irregularity_index,
+    compute_fixed_disc_block,
+    compute_grid_block,
     compute_table3_block,
     d_irregularity_index,
     delta,
@@ -15,9 +22,8 @@ from quadzeta.irregularity import (
     scan_fixed_discriminant,
     scan_fixed_primes,
 )
-from quadzeta.lvalues import l_chi_exact
+from quadzeta.lvalues import l_chi_exact, zeta_d_exact
 from quadzeta.numtheory import (
-    character_values,
     divisor_sigma_sieve,
     enumerate_fundamental_discriminants,
     odd_primes_up_to,
@@ -65,11 +71,53 @@ def test_classical_index_examples():
 
 def test_modular_kernel_matches_exact_kernel():
     for d in enumerate_fundamental_discriminants(2, 80):
-        chi = character_values(d)
         for p in odd_primes_up_to(40):
-            if d == p:
-                continue
-            assert _chi_hits_batch(chi[None], [d], p) == [tuple(_chi_hits_exact(d, p, False))], (d, p)
+            for strict in (False, True):
+                rec = chi_irregularity_index(d, p, strict)
+                assert rec.hits == tuple(_chi_hits_exact(d, p, strict)), (d, p, strict)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_d_index_matches_exact_oracle(strict):
+    cases = set()
+    for d in enumerate_fundamental_discriminants(2, 120):
+        for p in odd_primes_up_to(40):
+            exact = _exact_hits(lambda n: zeta_d_exact(d, n), p, delta(d, p), 1, strict)
+            rec = d_irregularity_index(d, p, strict)
+            assert (rec.delta, rec.hits) == (delta(d, p), tuple(exact)), (d, p)
+            cases.add("D = p" if d == p else "p | D" if d % p == 0 else "coprime")
+    assert cases == {"D = p", "p | D", "coprime"}
+
+
+@pytest.mark.parametrize("depth", [None, 1], ids=["kernel-depth", "escalated"])
+def test_classical_index_matches_exact_bernoulli(monkeypatch, depth):
+    # at depth 1 every hit is a zero residue mod p, so each one is recomputed deeper
+    if depth is not None:
+        monkeypatch.setattr(irregularity, "_max_np_exponent", lambda p: depth)
+    for p in odd_primes_up_to(400):
+        exact = []
+        for n in range(2, p - 2, 2):
+            v = p_adic_valuation(bernoulli_exact(n), p)
+            if v >= 1:
+                exact.append((n, v))
+        rec = classical_irregularity_index(p)
+        assert (rec.delta, rec.hits) == (p - 1, tuple(exact)), p
+
+
+def test_hits_hold_python_ints():
+    sigma1, sigma3 = divisor_sigma_sieve(1, 499), divisor_sigma_sieve(3, 499)
+    records = [
+        *(f(d, p, strict) for f in (chi_irregularity_index, d_irregularity_index)
+          for d, p in ((24, 3), (5, 5), (13, 13), (40, 5), (8, 37)) for strict in (False, True)),
+        *(classical_irregularity_index(p) for p in (37, 59, 691)),
+        *compute_fixed_disc_block(5, 3, 200),
+        *compute_grid_block(2, 300, (3, 5, 13, 37)),
+        *compute_table3_block(2, 2000, (3, 5), sigma1, sigma3),
+    ]
+    assert sum(rec.index for rec in records) > 100
+    for rec in records:
+        assert type(rec.delta) is int, rec
+        assert all(type(two_m) is int and type(v) is int for two_m, v in rec.hits), rec
 
 
 def test_interior_union_law():
@@ -143,6 +191,15 @@ def test_table3_block_matches_exact_kernel():
         assert rec.hits == exact, (rec.discriminant, rec.prime)
 
 
+def test_table3_zero_residues_take_the_exact_divisor_sum(monkeypatch):
+    # mod p every hit is a zero residue, so each valuation comes from the exact sum
+    monkeypatch.setattr(irregularity, "_TABLE3_CAP", {3: 1, 5: 1})
+    recs = compute_table3_block(2, 2000, (3, 5), divisor_sigma_sieve(1, 499),
+                                divisor_sigma_sieve(3, 499))
+    assert recs == compute_grid_block(2, 2000, (3, 5))
+    assert max(v for rec in recs for _, v in rec.hits) >= 3
+
+
 def test_grid_scan_matches_per_pair_api():
     primes = odd_primes_up_to(20)
     recs = scan_fixed_primes(2, 100, primes)
@@ -192,3 +249,18 @@ def test_deep_valuation_refinement():
     assert rec.hits == ((2, 7),)
     check = p_adic_valuation(l_chi_exact(3869, 1), 3)
     assert check == 7
+
+
+def test_no_production_path_calls_an_exact_oracle():
+    # the exact-rational hit loops are test oracles only; every index reads the kernel
+    oracles = {"_chi_hits_exact", "_exact_hits"}
+    calls = []
+    for path in sorted(Path(quadzeta.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Call):
+                        callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                        if callee in oracles:
+                            calls.append((func.name, callee))
+    assert calls == [("_chi_hits_exact", "_exact_hits")]

@@ -163,19 +163,22 @@ def test_load_records_rejects_records_outside_the_shard(tmp_path, kind, lo, hi):
         load_records(tmp_path)
 
 
-@pytest.mark.parametrize("listed", [[0, 2], [0, 0, 1, 2]], ids=["gap", "repeat"])
+@pytest.mark.parametrize("listed", [[0, 2], [0, 0, 1, 2], [1, 2], [0, 1]],
+                         ids=["gap", "repeat", "no-first", "no-last"])
 def test_load_records_requires_a_partition(tmp_path, listed):
     # a fixed-disc scan of D = 5 over p in [3, 30), one shard per span; the manifest
-    # drops the middle shard or lists the first one twice, every digest valid
+    # drops the middle, first or last shard or lists the first one twice, every
+    # digest valid
+    params = {"disc": "5", "pmax": "30"}
     entries = []
     for i, (lo, hi) in enumerate([(3, 10), (10, 20), (20, 30)]):
         path = tmp_path / f"s{i}.csv"
         primes = [p for p in (3, 5, 7, 11, 13, 17, 19, 23, 29) if lo <= p < hi]
         write_index_shard(path, [IndexRecord(5, p, p - 1, "chi", ()) for p in primes])
         entries.append(ShardEntry(path.name, lo, hi, file_digest(path), True))
-    write_manifest(tmp_path, ScanManifest(kind="fixed-disc", shards=entries))
+    write_manifest(tmp_path, ScanManifest("fixed-disc", params, entries))
     assert len(load_records(tmp_path)) == 9
-    write_manifest(tmp_path, ScanManifest(kind="fixed-disc", shards=[entries[i] for i in listed]))
+    write_manifest(tmp_path, ScanManifest("fixed-disc", params, [entries[i] for i in listed]))
     with pytest.raises(ValueError, match="partition"):
         load_records(tmp_path)
     assert main(["report", "--table", "1", "--input", str(tmp_path)]) == 2

@@ -36,9 +36,6 @@ def test_limit_fraction_values():
 def test_exact_index_distribution():
     assert exact_index_distribution(3) == [Fraction(2, 3), Fraction(1, 3)]
     assert exact_index_distribution(5) == [Fraction(16, 25), Fraction(8, 25), Fraction(1, 25)]
-    assert exact_index_distribution(5, is_d_equal_p=True) == [Fraction(4, 5), Fraction(1, 5)]
-    with pytest.raises(ValueError):
-        exact_index_distribution(7, is_d_equal_p=True)
 
 
 def test_exact_distribution_sums_to_one_exactly():
