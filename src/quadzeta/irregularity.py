@@ -27,7 +27,6 @@ exact-rational loops (_exact_hits) remain as test oracles.
 
 from __future__ import annotations
 
-import math
 import multiprocessing as mp
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,6 +38,7 @@ import numpy as np
 from .bernoulli import _np_safe, _numerator_residues, bernoulli_residues_mod
 from .lvalues import (
     l_chi_exact,
+    siegel_divisor_sums,
     siegel_divisor_sums_mod,
     validate_siegel_gate,
 )
@@ -297,10 +297,8 @@ def compute_grid_block(d_lo: int, d_hi: int, primes: tuple[int, ...]) -> list[In
 
 
 def _exact_divisor_sum(d: int, sigma: SigmaTable) -> int:
-    total = 0
-    for b in range(d & 1, math.isqrt(d - 1) + 1, 2):
-        total += (1 if b == 0 else 2) * sigma[(d - b * b) // 4]
-    return total
+    """The divisor sum of one D (sigma holds sigma_{2m-1}), from the window [d, d + 1)."""
+    return siegel_divisor_sums((sigma.exponent + 1) // 2, d, d + 1, sigma)[1][0]
 
 
 def _divisor_sum_valuations(

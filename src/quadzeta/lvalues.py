@@ -18,9 +18,11 @@ formulas, which is subpolynomial per discriminant when D varies:
     zeta_D(-3) = (1/120) * sum_b sigma_3((D - b^2) / 4)
 
 summing over all integers b (positive, negative and zero) with b^2 < D and
-b = D (mod 2).  The coefficients are quarantined behind an exact-equality
-gate against the twisted-Bernoulli route; call validate_siegel_gate()
-before trusting a large batch run.
+b = D (mod 2).  One accumulator (_theta_sums) gives these sums, exact (on
+32-bit halves) or mod p^e, for a window of D, one contiguous sigma slice
+per b.  The coefficients are quarantined behind an exact-equality gate
+against the twisted-Bernoulli route; call validate_siegel_gate() before
+trusting a large batch run.
 """
 
 from __future__ import annotations
@@ -106,45 +108,52 @@ def zeta_d_exact(d: int, m: int) -> Fraction:
     return riemann_zeta_neg(m) * l_chi_exact(d, m)
 
 
-def _check_sigma(m: int, hi: int, sigma: SigmaTable) -> None:
-    k = 2 * m - 1
-    if sigma.exponent != k:
-        raise ValueError(f"sigma table has exponent {sigma.exponent}, need {k} for m = {m}")
+def _theta_sums(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """acc[D - lo] = sum_b values[(D - b^2)/4] for lo <= D < hi, over all
+    integers b with b^2 < D and b = D (mod 2): the one divisor-sum b-loop.
+
+    As D steps by 4, (D - b^2)/4 runs over consecutive integers, so each
+    b >= 0 adds one contiguous slice of values, twice for b > 0 (b and -b),
+    into the stride-4 view of acc from its first D at or above lo.
+    """
+    acc = np.zeros(max(hi - lo, 0), dtype=np.int64)
+    b = 0
+    while b * b + 4 < hi:
+        start = b * b + 4
+        if start < lo:
+            start += ((lo - start + 3) // 4) * 4
+        view = acc[start - lo :: 4]
+        n0 = (start - b * b) // 4
+        view += (1 if b == 0 else 2) * values[n0 : n0 + len(view)]
+        b += 1
+    return acc
+
+
+def _sigma_prefix(m: int, hi: int, sigma: SigmaTable) -> np.ndarray:
+    """sigma_{2m-1}(n) for 0 <= n <= (hi - 1)/4: every entry a window below hi reads."""
+    if m not in SIEGEL_DENOMINATOR:
+        raise ValueError(f"no divisor-sum formula is pinned for m = {m}")
+    if sigma.exponent != 2 * m - 1:
+        raise ValueError(f"sigma table has exponent {sigma.exponent}, need {2 * m - 1} for m = {m}")
     need = (hi - 1) // 4
     if sigma.limit < need:
         raise ValueError(f"sigma table covers {sigma.limit} < required {need}")
+    return sigma.values[: need + 1]
 
 
 def siegel_divisor_sums(m: int, lo: int, hi: int, sigma: SigmaTable) -> tuple[list[int], list[int]]:
     """(discriminants, divisor sums) for all fundamental D in [lo, hi).
 
     The sum for D is sum_b sigma_{2m-1}((D - b^2)/4) over b^2 < D with
-    b = D (mod 2).  Accumulation is vectorized over D with the int64 values
-    split into 32-bit halves, then reassembled into exact Python integers.
+    b = D (mod 2).  The two 32-bit halves of the int64 sigma values are
+    accumulated apart, then reassembled into exact Python integers.
     """
-    if m not in SIEGEL_DENOMINATOR:
-        raise ValueError(f"no divisor-sum formula is pinned for m = {m}")
-    _check_sigma(m, hi, sigma)
+    values = _sigma_prefix(m, hi, sigma)
     discs = enumerate_fundamental_discriminants(lo, hi)
-    if not discs:
-        return [], []
-    span = hi - lo
-    acc_lo = np.zeros(span, dtype=np.int64)
-    acc_hi = np.zeros(span, dtype=np.int64)
-    b = 0
-    while b * b + 4 < hi:
-        weight = 1 if b == 0 else 2
-        start = b * b + 4
-        if start < lo:
-            start += ((lo - start + 3) // 4) * 4
-        sl = slice(start - lo, span, 4)
-        ns = (np.arange(start, hi, 4) - b * b) // 4
-        vals = sigma.values[ns]
-        acc_lo[sl] += weight * (vals & _MASK32)
-        acc_hi[sl] += weight * (vals >> 32)
-        b += 1
-    sums = [(int(acc_hi[d - lo]) << 32) + int(acc_lo[d - lo]) for d in discs]
-    return discs, sums
+    idx = np.asarray(discs, dtype=np.int64) - lo
+    low = _theta_sums(values & _MASK32, lo, hi)[idx].tolist()
+    high = _theta_sums(values >> 32, lo, hi)[idx].tolist()
+    return discs, [(h << 32) + l for h, l in zip(high, low)]
 
 
 def siegel_divisor_sums_mod(
@@ -156,26 +165,12 @@ def siegel_divisor_sums_mod(
     modulus (tested).  modulus must be modest enough that 2 * sqrt(hi) *
     modulus fits in int64, which every p^k used by the scans satisfies.
     """
-    if m not in SIEGEL_DENOMINATOR:
-        raise ValueError(f"no divisor-sum formula is pinned for m = {m}")
-    _check_sigma(m, hi, sigma)
+    values = _sigma_prefix(m, hi, sigma)
     if 2 * (math.isqrt(hi) + 1) * modulus >= 2**62:
         raise ValueError("modulus too large for the vectorized accumulator")
     discs = enumerate_fundamental_discriminants(lo, hi)
-    span = hi - lo
-    acc = np.zeros(span, dtype=np.int64)
-    b = 0
-    while b * b + 4 < hi:
-        weight = 1 if b == 0 else 2
-        start = b * b + 4
-        if start < lo:
-            start += ((lo - start + 3) // 4) * 4
-        sl = slice(start - lo, span, 4)
-        ns = (np.arange(start, hi, 4) - b * b) // 4
-        acc[sl] += weight * (sigma.values[ns] % modulus)
-        b += 1
-    idx = np.array(discs, dtype=np.int64) - lo if discs else np.zeros(0, dtype=np.int64)
-    return discs, acc[idx] % modulus
+    acc = _theta_sums(values % modulus, lo, hi)
+    return discs, acc[np.asarray(discs, dtype=np.int64) - lo] % modulus
 
 
 def siegel_batch(

@@ -90,33 +90,33 @@ def validate_fundamental_discriminant(d: int) -> int:
     return d
 
 
-def squarefree_flags(limit: int) -> np.ndarray:
-    """Boolean array f with f[n] true iff n is squarefree, for 0 <= n < limit."""
-    flags = np.ones(max(limit, 1), dtype=bool)
-    flags[0] = False
-    if limit > 4:
-        for q in range(2, math.isqrt(limit - 1) + 1):
-            flags[q * q :: q * q] = False
+def squarefree_flags(lo: int, hi: int) -> np.ndarray:
+    """Boolean array f with f[n - lo] true iff n is squarefree, for 0 <= lo <= n < hi.
+
+    Sieves the window alone: each prime q <= sqrt(hi - 1), and always 2 (so
+    that 0 is struck), strikes the multiples of q^2 from the first at or above lo.
+    """
+    flags = np.ones(max(hi - lo, 0), dtype=bool)
+    for q in [2, *odd_primes_up_to(math.isqrt(max(hi - 1, 0)) + 1)]:
+        flags[-lo % (q * q) :: q * q] = False
     return flags
 
 
 def enumerate_fundamental_discriminants(lo: int, hi: int) -> list[int]:
     """All fundamental discriminants d with lo <= d < hi, ascending.
 
-    Uses a squarefree sieve rather than per-candidate factorization, so
-    ranges up to 10**6 and beyond enumerate in well under a second.
+    Sieves squarefree flags over the window [lo, hi) for d = 1 (mod 4),
+    and over [lo // 4, (hi - 1) // 4] for d = 4m, so the cost follows the
+    window, not hi.
     """
-    if hi <= lo or hi <= 2:
+    lo = max(lo, 2)
+    if hi <= lo:
         return []
-    flags = squarefree_flags(hi)
-    d = np.arange(hi, dtype=np.int64)
-    odd = (d % 4 == 1) & flags
-    m = d >> 2
-    even = (d % 16 == 8) | (d % 16 == 12)
-    even &= flags[np.minimum(m, hi - 1)]
-    mask = odd | even
-    mask[: max(lo, 2)] = False
-    return [int(x) for x in np.flatnonzero(mask)]
+    d = np.arange(lo, hi, dtype=np.int64)
+    m_lo = lo // 4
+    odd = (d % 4 == 1) & squarefree_flags(lo, hi)
+    even = np.isin(d % 16, (8, 12)) & squarefree_flags(m_lo, (hi - 1) // 4 + 1)[(d >> 2) - m_lo]
+    return d[odd | even].tolist()
 
 
 def odd_primes_up_to(x: int) -> list[int]:
@@ -164,7 +164,7 @@ class SigmaTable:
 
 
 def divisor_sigma_sieve(k: int, limit: int) -> SigmaTable:
-    """Build a SigmaTable of sigma_k(n) for n <= limit in O(limit log limit) additions."""
+    """Build a SigmaTable of sigma_k(n) for n <= limit in 2 sqrt(limit) vector additions."""
     if k not in (1, 3):
         raise ValueError(f"unsupported divisor-sum exponent {k}")
     if limit < 1:
@@ -174,9 +174,14 @@ def divisor_sigma_sieve(k: int, limit: int) -> SigmaTable:
             f"sigma_{k} sieve limit {limit} would overflow 64-bit entries "
             f"(maximum {_SIGMA_LIMIT_BOUND[k]})"
         )
+    # each divisor pair d * j = n <= limit is counted once: the small divisor
+    # d <= s directly, a large one d > s through its cofactor j = n / d <= s
+    s = math.isqrt(limit)
     vals = np.zeros(limit + 1, dtype=np.int64)
-    for d in range(1, limit + 1):
-        vals[d :: d] += d**k
+    for d in range(1, s + 1):
+        vals[d::d] += d**k
+    for j in range(1, s + 1):
+        vals[j * (s + 1) :: j] += np.arange(s + 1, limit // j + 1, dtype=np.int64) ** k
     vals.setflags(write=False)
     return SigmaTable(exponent=k, limit=limit, values=vals)
 

@@ -146,10 +146,19 @@ class ScanManifest:
         return bool(self.shards) and all(s.complete for s in self.shards)
 
     def validate_partition(self) -> None:
+        """The shard spans follow one another with no gap and no overlap, from
+        the start of the scan range to its end: p in [3, pmax) for a
+        fixed-disc scan, D in [max(dmin, 2), dmax) otherwise."""
+        fixed = self.kind == "fixed-disc"
+        end = "pmax" if fixed else "dmax"
+        if end not in self.params:
+            raise ValueError(f"manifest params give no {end}, so the scan range has no end")
+        lo = 3 if fixed else max(int(self.params.get("dmin", 2)), 2)
+        hi = int(self.params[end])
         spans = sorted((s.lo, s.hi) for s in self.shards)
-        for (_, prev_hi), (lo, _) in zip(spans, spans[1:]):
-            if lo != prev_hi:
-                raise ValueError("shards do not partition the scan range")
+        edges = [lo, *(x for span in spans for x in span), hi]  # each hi meets the next lo
+        if edges[0::2] != edges[1::2]:
+            raise ValueError(f"shards do not partition the scan range [{lo}, {hi})")
 
 
 def write_manifest(directory: Path, manifest: ScanManifest) -> None:
@@ -204,24 +213,16 @@ def read_manifest(directory: Path) -> ScanManifest:
 def load_records(directory: Path, allow_partial: bool = False) -> list[IndexRecord]:
     """Read every completed shard in range order; reject incomplete scans.
 
-    The manifest's shard spans must follow one another with no gap and no
-    overlap, from the start of the scan range to its end: p in [3, pmax)
-    for a fixed-disc scan, D in [max(dmin, 2), dmax) otherwise (the end is
-    checked where the params give it).  A completed shard must carry a
-    digest, and its file must match it.  Each record's block key (p for a fixed-disc scan, D otherwise) must
-    lie in its shard's [lo, hi).
+    The manifest's shard spans must partition the scan range
+    (ScanManifest.validate_partition).  A completed shard must carry a
+    digest, and its file must match it.  Each record's block key (p for a
+    fixed-disc scan, D otherwise) must lie in its shard's [lo, hi).
 
     Raises IncompleteScanError unless allow_partial is set; report commands
     map that onto the dedicated exit code.
     """
     manifest = read_manifest(directory)
     manifest.validate_partition()
-    fixed = manifest.kind == "fixed-disc"
-    lo = 3 if fixed else max(int(manifest.params.get("dmin", 2)), 2)
-    hi = int(manifest.params.get("pmax" if fixed else "dmax", 0))
-    spans = sorted((s.lo, s.hi) for s in manifest.shards)
-    if spans and (spans[0][0] != lo or hi and spans[-1][1] != hi):
-        raise ValueError(f"shards do not partition the scan range [{lo}, {hi or 'end'})")
     if not manifest.complete and not allow_partial:
         raise IncompleteScanError(f"scan in {directory} is incomplete")
     block_key = attrgetter("prime" if manifest.kind == "fixed-disc" else "discriminant")

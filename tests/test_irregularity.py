@@ -2,6 +2,8 @@ import ast
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import quadzeta
 from quadzeta import irregularity
@@ -198,6 +200,18 @@ def test_table3_zero_residues_take_the_exact_divisor_sum(monkeypatch):
                                 divisor_sigma_sieve(3, 499))
     assert recs == compute_grid_block(2, 2000, (3, 5))
     assert max(v for rec in recs for _, v in rec.hits) >= 3
+
+
+_BLOCK_SIGMA = (divisor_sigma_sieve(1, 4300), divisor_sigma_sieve(3, 4300))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(3, 16_000), st.integers(1, 1200))
+@example(10_001, 3002)
+def test_table3_block_on_unaligned_windows(lo, width):
+    # mid-range windows that need not start at 2 or at a multiple of 4
+    hi = lo + width
+    assert compute_table3_block(lo, hi, (3, 5), *_BLOCK_SIGMA) == compute_grid_block(lo, hi, (3, 5))
 
 
 def test_grid_scan_matches_per_pair_api():

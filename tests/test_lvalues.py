@@ -1,8 +1,15 @@
+import ast
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from quadzeta import lvalues
 from quadzeta.bernoulli import _np_safe
+from quadzeta.irregularity import _exact_divisor_sum
 from quadzeta.lvalues import (
     l_chi_exact,
     l_chi_mod,
@@ -125,6 +132,56 @@ def test_divisor_sums_valuations_agree_between_modes():
         for p, r in ((3, int(r3)), (5, int(r5))):
             if r:
                 assert p_adic_valuation(s, p) == p_adic_valuation(r, p), (d, p)
+
+
+def _direct_divisor_sum(d, sigma):
+    """sum_b sigma((d - b^2)/4) over b^2 < d with b = d (mod 2), one b at a time."""
+    return sum((1 if b == 0 else 2) * sigma[(d - b * b) // 4]
+               for b in range(d & 1, math.isqrt(d - 1) + 1, 2))
+
+
+_WINDOW_SIGMA = {1: divisor_sigma_sieve(1, 4000), 2: divisor_sigma_sieve(3, 4000)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((1, 2)), st.integers(3, 15_700), st.integers(0, 300))
+@example(1, 3, 40)  # the first window past 2
+@example(2, 10_001, 299)  # neither end aligned to 4
+@example(1, 4097, 0)  # empty
+def test_divisor_sums_on_windows_past_the_start(m, lo, width):
+    # from lo > 2, each b with b^2 + 4 < lo starts its stride-4 view at the
+    # first D >= lo of its residue class mod 4
+    hi = lo + width
+    sigma = _WINDOW_SIGMA[m]
+    discs, sums = siegel_divisor_sums(m, lo, hi, sigma)
+    assert discs == enumerate_fundamental_discriminants(lo, hi)
+    assert sums == [_direct_divisor_sum(d, sigma) for d in discs]
+    assert sums == [_exact_divisor_sum(d, sigma) for d in discs]
+    for modulus in (3**19, 5**13):
+        discs_mod, residues = siegel_divisor_sums_mod(m, lo, hi, sigma, modulus)
+        assert discs_mod == discs
+        assert residues.tolist() == [s % modulus for s in sums]
+
+
+def test_one_divisor_sum_b_loop():
+    # every divisor sum in the package, exact, modular or for one D, runs the
+    # b-loop of lvalues._theta_sums: it is the only loop that squares b
+    def squares_b(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and all(getattr(side, "id", None) == "b" for side in (node.left, node.right)))
+
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    sites = []
+    for path in sorted(Path(lvalues.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for func in ast.walk(tree):  # breadth first: inner functions overwrite outer ones
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if isinstance(node, loops) and any(map(squares_b, ast.walk(node))):
+                sites.append((path.name, owner.get(node)))
+    assert sites == [("lvalues.py", "_theta_sums")]
 
 
 def test_valuation_additivity_of_factors():

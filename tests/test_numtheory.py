@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quadzeta.numtheory import (
     character_table,
@@ -114,6 +116,25 @@ def test_enumeration_matches_membership_oracle():
         assert is_fundamental_discriminant(d) == fundamental_oracle(d), d
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 8000), st.integers(-20, 700))
+@example(0, 2)  # the windows from 0, 1 and 2, and hi <= 2
+@example(1, 1)
+@example(2, 0)
+@example(0, 200)
+@example(1, 200)
+@example(2, 200)
+@example(40, -3)  # hi < lo
+@example(13, 45)  # neither end aligned to 4
+@example(955, 12)  # straddles 31^2 = 961
+@example(7680, 16)  # straddles 7688 = 8 * 31^2, whose m = 2 * 31^2 the 4m sieve strikes
+@example(7689, 40)  # the 4m window starts past 0 and past 31^2
+def test_enumeration_on_any_window(lo, width):
+    hi = lo + width
+    expected = [d for d in range(lo, hi) if is_fundamental_discriminant(d)]
+    assert enumerate_fundamental_discriminants(lo, hi) == expected
+
+
 def test_enumeration_reference_counts():
     assert len(enumerate_fundamental_discriminants(2, 5000)) == 1516
     assert len(enumerate_fundamental_discriminants(2, 1_000_000)) == 303_957
@@ -141,6 +162,16 @@ def test_sigma_sieve_matches_direct_enumeration():
         for n in list(range(1, 200)) + [743, 6860, 9973, limit]:
             direct = sum(d**k for d in range(1, n + 1) if n % d == 0)
             assert table[n] == direct, (k, n)
+
+
+def test_sigma_sieve_at_every_small_limit():
+    # the sieve splits divisors at isqrt(limit); every split point up to 7 occurs
+    for k in (1, 3):
+        for limit in range(1, 61):
+            table = divisor_sigma_sieve(k, limit)
+            direct = [sum(d**k for d in range(1, n + 1) if n % d == 0) for n in range(limit + 1)]
+            assert table.values.tolist() == direct, (k, limit)
+            assert not table.values.flags.writeable
 
 
 def test_sigma_sieve_multiplicative_on_coprime():

@@ -86,7 +86,7 @@ def test_pairs_round_trip(tmp_path):
 def test_manifest_round_trip(tmp_path):
     manifest = ScanManifest(
         kind="grid",
-        params={"dmax": "5000", "pmax": "100"},
+        params={"dmax": "2000", "pmax": "100"},
         shards=[
             ShardEntry("a.csv", 2, 1000, "ab12", True),
             ShardEntry("b.csv", 1000, 2000, "", False),
@@ -101,11 +101,16 @@ def test_manifest_round_trip(tmp_path):
     back.validate_partition()
 
 
+# the params of the one-shard grid scans over D in [2, 10) below
+_GRID_PARAMS = {"dmax": "10", "pmax": "100"}
+
+
 def test_load_records_requires_completion(tmp_path):
     shard = tmp_path / "s.csv"
     write_index_shard(shard, _records())
     manifest = ScanManifest(
         kind="grid",
+        params=_GRID_PARAMS,
         shards=[ShardEntry("s.csv", 2, 10, file_digest(shard), False)],
     )
     write_manifest(tmp_path, manifest)
@@ -121,7 +126,7 @@ def test_load_records_checks_digest(tmp_path):
     shard = tmp_path / "s.csv"
     write_index_shard(shard, _records())
     manifest = ScanManifest(
-        kind="grid", shards=[ShardEntry("s.csv", 2, 10, "0" * 64, True)]
+        kind="grid", params=_GRID_PARAMS, shards=[ShardEntry("s.csv", 2, 10, "0" * 64, True)]
     )
     write_manifest(tmp_path, manifest)
     with pytest.raises(ValueError):
@@ -131,7 +136,8 @@ def test_load_records_checks_digest(tmp_path):
 def test_load_records_requires_digest_of_complete_shard(tmp_path):
     shard = tmp_path / "s.csv"
     write_index_shard(shard, _records())
-    manifest = ScanManifest(kind="grid", shards=[ShardEntry("s.csv", 2, 10, "", True)])
+    manifest = ScanManifest(kind="grid", params=_GRID_PARAMS,
+                            shards=[ShardEntry("s.csv", 2, 10, "", True)])
     write_manifest(tmp_path, manifest)
     with pytest.raises(ValueError, match="no digest"):
         load_records(tmp_path)
@@ -141,7 +147,8 @@ def _complete_scan(directory, kind, lo, hi, lines):
     """A one-shard scan whose manifest digest matches the given shard lines."""
     shard = directory / "s.csv"
     shard.write_text("".join(line + "\n" for line in lines))
-    manifest = ScanManifest(kind=kind, shards=[ShardEntry("s.csv", lo, hi, file_digest(shard), True)])
+    params = {"disc": "5", "pmax": str(hi)} if kind == "fixed-disc" else {"dmax": str(hi), "pmax": "100"}
+    manifest = ScanManifest(kind, params, [ShardEntry("s.csv", lo, hi, file_digest(shard), True)])
     write_manifest(directory, manifest)
 
 
@@ -182,6 +189,26 @@ def test_load_records_requires_a_partition(tmp_path, listed):
     with pytest.raises(ValueError, match="partition"):
         load_records(tmp_path)
     assert main(["report", "--table", "1", "--input", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "kind, params, problem",
+    [("grid", {"pmax": "100"}, "no dmax"), ("fixed-disc", {"disc": "5"}, "no pmax"),
+     ("grid", {"dmax": "2000", "pmax": "100"}, "partition")],
+    ids=["grid-no-end", "fixed-disc-no-end", "no-last"],
+)
+def test_load_records_requires_the_scan_end(tmp_path, kind, params, problem):
+    # a scan over [start, 2000) of which the manifest lists only the shard up
+    # to 1000; without an end in the params the scan range has no end to check
+    write_index_shard(tmp_path / "a.csv", _records())
+    lo = 3 if kind == "fixed-disc" else 2
+    entry = ShardEntry("a.csv", lo, 1000, file_digest(tmp_path / "a.csv"), True)
+    manifest = ScanManifest(kind, params, [entry])
+    with pytest.raises(ValueError, match=problem):
+        manifest.validate_partition()
+    write_manifest(tmp_path, manifest)
+    with pytest.raises(ValueError, match=problem):
+        load_records(tmp_path)
 
 
 @pytest.mark.parametrize(
