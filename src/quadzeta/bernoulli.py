@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numtheory import character_values, is_odd_prime, validate_fundamental_discriminant
+from .numtheory import character_values, validate_fundamental_discriminant, validate_odd_prime
 
 # Largest dot-product magnitude we allow on the int64 modular paths.
 _INT64_BUDGET = 2**62
@@ -301,8 +301,7 @@ def generalized_bernoulli_exact(d: int, n: int) -> Fraction:
 def _check_modular(d: int, p: int) -> None:
     """The modular routes need an odd prime p coprime to the discriminant d."""
     validate_fundamental_discriminant(d)
-    if not is_odd_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
+    validate_odd_prime(p)
     if d % p == 0:
         raise ValueError(f"modular reduction needs p coprime to the discriminant ({p} | {d})")
 

@@ -4,9 +4,12 @@ Subcommands: lvalue, zeta, index, scan, report, survey, stats.
 Exit codes: 0 success, 2 usage or validation error, 3 incomplete input,
 4 failed arithmetic check (the Siegel gate found a mismatch).
 
-A scan runs the plan of `irregularity.scan_plan`, the same plan the
-library's scan functions run; this module checks that the scan kind's flags
-are present and names the manifest's shards.  Scans write CSV shards plus a
+The library owns every input rule (discriminants, primes, exponent ranges,
+which parameters a scan kind takes); this module parses flags, checks only
+the flag combinations argparse cannot express, and maps the library's
+exceptions to exit codes.  A scan runs the plan of `irregularity.scan_plan`,
+the same plan the library's scan functions run, with the flags as given;
+this module names the manifest's shards.  Scans write CSV shards plus a
 manifest; reports and surveys consume those files without touching the
 compute modules again (the residue histogram is the one exception, since
 shards do not carry residues).  All text output is ASCII; table renderers
@@ -22,7 +25,6 @@ import sys
 from pathlib import Path
 
 from . import irregularity, lvalues, shards, stats
-from .numtheory import is_fundamental_discriminant, is_odd_prime
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -36,56 +38,35 @@ class CommandError(Exception):
         self.code = code
 
 
-def _require_fundamental(d: int) -> int:
-    if not is_fundamental_discriminant(d):
-        raise CommandError(f"{d} is not a fundamental discriminant (need d = 1 mod 4 "
-                           "squarefree, or 4m with m = 2,3 mod 4 squarefree, d > 1)")
-    return d
-
-
-def _require_odd_prime(p: int) -> int:
-    if not is_odd_prime(p):
-        raise CommandError(f"{p} is not an odd prime")
-    return p
-
-
 # ---------------------------------------------------------------------------
 # value commands
 
 
 def cmd_lvalue(args) -> int:
-    d = _require_fundamental(args.disc)
     if args.mod is not None:
-        p = _require_odd_prime(args.mod)
-        if d % p == 0:
-            raise CommandError(f"mod mode needs p coprime to the discriminant ({p} | {d})")
-        if 2 * args.m > p - 1:
-            raise CommandError(f"mod mode needs 2m <= p - 1 (got 2m = {2 * args.m}, p = {p})")
-        print(lvalues.l_chi_mod(d, args.m, p))
+        print(lvalues.l_chi_mod(args.disc, args.m, args.mod))
     else:
-        print(lvalues.l_chi_exact(d, args.m))
+        print(lvalues.l_chi_exact(args.disc, args.m))
     return EXIT_OK
 
 
 def cmd_zeta(args) -> int:
-    d = _require_fundamental(args.disc)
     if args.mod is not None:
         raise CommandError("field zeta values have no modular route (the Riemann factor "
                            "is never p-integral at the top exponent)")
-    print(lvalues.zeta_d_exact(d, args.m))
+    print(lvalues.zeta_d_exact(args.disc, args.m))
     return EXIT_OK
 
 
 def cmd_index(args) -> int:
-    p = _require_odd_prime(args.p)
     if args.kind == "classical":
-        rec = irregularity.classical_irregularity_index(p)
+        rec = irregularity.classical_irregularity_index(args.p)
+    elif args.disc is None:
+        raise CommandError(f"--kind {args.kind} needs --disc")
+    elif args.kind == "chi":
+        rec = irregularity.chi_irregularity_index(args.disc, args.p, strict=args.strict)
     else:
-        d = _require_fundamental(args.disc)
-        if args.kind == "chi":
-            rec = irregularity.chi_irregularity_index(d, p, strict=args.strict)
-        else:
-            rec = irregularity.d_irregularity_index(d, p, strict=args.strict)
+        rec = irregularity.d_irregularity_index(args.disc, args.p, strict=args.strict)
     disc = rec.discriminant if rec.discriminant is not None else "-"
     print(f"D={disc} p={rec.prime} delta={rec.delta} kind={rec.kind} "
           f"index={rec.index} hits={shards.format_hits(rec.hits)}")
@@ -118,19 +99,11 @@ def _parse_primes(text: str) -> tuple[int, ...]:
     return primes
 
 
-# the flags each scan kind needs; a million scan's --primes defaults to 3,5
-_SCAN_FLAGS = {"fixed-disc": ("disc", "pmax"), "grid": ("dmax", "pmax"), "million": ("dmax",)}
-
-
 def _scan_plan(args):
     """(plan, manifest) for the requested scan kind."""
-    flags = _SCAN_FLAGS[args.kind]
-    if any(getattr(args, flag) is None for flag in flags):
-        raise CommandError(f"{args.kind} scan needs " + " and ".join(f"--{f}" for f in flags))
-    params = {flag: getattr(args, flag) for flag in flags}
-    if args.kind == "million":
-        params["primes"] = _parse_primes(args.primes or "3,5")
-    plan = irregularity.scan_plan(args.kind, **params)
+    primes = None if args.primes is None else _parse_primes(args.primes)
+    plan = irregularity.scan_plan(args.kind, disc=args.disc, pmax=args.pmax, dmax=args.dmax,
+                                  primes=primes)
     manifest = shards.ScanManifest(kind=plan.kind, params=plan.params)
     for lo, hi in plan.blocks:
         manifest.shards.append(
@@ -144,9 +117,9 @@ def _fmt_params(params: dict) -> str:
 
 
 def cmd_scan(args) -> int:
+    plan, manifest = _scan_plan(args)  # a rejected scan leaves no directory behind
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    plan, manifest = _scan_plan(args)
     total = 0  # records: those of the shards --resume reuses, then those written here
     if args.resume and (out / shards.MANIFEST_NAME).exists():
         previous = shards.read_manifest(out)
@@ -275,15 +248,15 @@ def cmd_report(args) -> int:
         records = _load(args)
         if args.pmax_cutoff:
             records = [r for r in records if r.prime < args.pmax_cutoff]
-        table = stats.build_distribution(records, prediction="limit", tail_from=3)
+        table = stats.build_distribution(records, prediction="limit")
         _emit_distribution(table, fmt)
     elif args.table == "2":
         records = _load(args)
-        report = stats.aggregate_across_discriminants(records, prediction="limit", tail_from=3)
+        report = stats.aggregate_across_discriminants(records, prediction="limit")
         _emit_distribution(report.totals, fmt, averages=report.averages)
     elif args.table == "3":
         records = _load(args)
-        report = stats.aggregate_across_discriminants(records, prediction="exact", tail_from=None)
+        report = stats.aggregate_across_discriminants(records, prediction="exact")
         _emit_distribution(report.totals, fmt, averages=report.averages, avg_decimals=6)
     elif args.table == "residues":
         records = _load(args)
@@ -297,8 +270,6 @@ def cmd_report(args) -> int:
     elif args.table == "ratios":
         records = _load(args)
         pairs = irregularity.irregular_pairs(records)
-        if not pairs:
-            raise CommandError("no irregular pairs in the scan data")
         report = stats.ratio_uniformity_report(pairs, bins=args.bins)
         payload = {
             "count": report.count,
@@ -324,11 +295,7 @@ def cmd_report(args) -> int:
         # computed directly: index shards do not carry residues
         if args.disc is None or args.mod is None:
             raise CommandError("histogram report needs --disc and --mod")
-        d = _require_fundamental(args.disc)
-        p = _require_odd_prime(args.mod)
-        if d % p == 0:
-            raise CommandError(f"histogram needs p coprime to the discriminant ({p} | {d})")
-        table = stats.residue_histogram(lvalues.l_chi_residues(d, p), p)
+        table = stats.residue_histogram(lvalues.l_chi_residues(args.disc, args.mod), args.mod)
         _emit_distribution(table, fmt)
     else:
         raise CommandError(f"unknown table {args.table!r}")
@@ -337,12 +304,11 @@ def cmd_report(args) -> int:
 
 def cmd_survey(args) -> int:
     records = _load(args)
-    p = _require_odd_prime(args.primes_single)
     for rec in records:
         for _, v in rec.hits:
             if v < 1:
                 raise CommandError("shards lack refined valuations")
-    best, attain = irregularity.high_valuation_survey(records, p)
+    best, attain = irregularity.high_valuation_survey(records, args.primes_single)
     print(f"max valuation {best}")
     if attain:
         print("attained: " + "; ".join(f"D={d} 2m={two_m}" for d, two_m in attain))
@@ -393,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--disc", type=int)
     p_scan.add_argument("--pmax", type=int)
     p_scan.add_argument("--dmax", type=int)
-    p_scan.add_argument("--primes", type=str, help="comma-separated primes (million scan)")
+    p_scan.add_argument("--primes", type=str, help="comma-separated primes (grid or million scan)")
     p_scan.add_argument("--out", type=str, required=True)
     p_scan.add_argument("--workers", type=int, default=1)
     p_scan.add_argument("--resume", action="store_true")

@@ -48,10 +48,10 @@ from .numtheory import (
     character_values,
     divisor_sigma_sieve,
     enumerate_fundamental_discriminants,
-    is_odd_prime,
     odd_primes_up_to,
     p_adic_valuation,
     validate_fundamental_discriminant,
+    validate_odd_prime,
 )
 
 GRID_BLOCK = 1_000
@@ -107,9 +107,7 @@ def _delta(d, p: int):
 def delta(d: int, p: int) -> int:
     """Upper end of the even test range: p - 1, or (p - 1)/2 when D = p."""
     validate_fundamental_discriminant(d)
-    if not is_odd_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
-    return _delta(d, p)
+    return _delta(d, validate_odd_prime(p))
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +251,7 @@ def d_irregularity_index(d: int, p: int, strict: bool = False) -> IndexRecord:
 
 def classical_irregularity_index(p: int) -> IndexRecord:
     """Classical index: even n <= p - 3 with p | B_n."""
-    if not is_odd_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
+    validate_odd_prime(p)
     hits = tuple((2 * h + 2, v) for h, v in enumerate(_bernoulli_valuations(p).tolist()) if v)
     return IndexRecord(None, p, p - 1, "classical", hits)
 
@@ -382,49 +379,63 @@ def _run_block(block: tuple[int, int]) -> list[IndexRecord]:
     return _worker_task(*block)
 
 
-def scan_plan(
-    kind: str,
-    *,
-    disc: int | None = None,
-    pmax: int | None = None,
-    dmin: int | None = None,
-    dmax: int | None = None,
-    primes: Iterable[int] | None = None,
-) -> ScanPlan:
+# The parameters each scan kind takes: (required, optional).  A grid scan
+# also takes exactly one of pmax and primes.
+_SCAN_PARAMS = {
+    "fixed-disc": (("disc", "pmax"), ()),
+    "grid": (("dmax",), ("dmin", "pmax", "primes")),
+    "million": (("dmax",), ("dmin", "primes")),
+}
+
+
+def scan_plan(kind: str, **given) -> ScanPlan:
     """Plan one of the three scans from its parameters.
 
     fixed-disc  disc, pmax: every odd prime p < pmax for the one D = disc.
     grid        dmax, and pmax (the odd primes below it) or primes: every
                 fundamental D in [dmin, dmax) with each prime; dmin
                 defaults to 2.
-    million     dmax, primes within {3, 5}: the same range by the
-                divisor-sum route.  Planning runs the Siegel gate and
-                builds the sigma tables the blocks share.
+    million     dmax, and primes within {3, 5} (default 3, 5): the same
+                range by the divisor-sum route.  Planning runs the Siegel
+                gate and builds the sigma tables the blocks share.
 
-    The plan's params are the given parameters as strings.
+    A parameter given as None counts as absent; a missing or foreign one
+    raises ValueError.  The plan's params are the parameters as strings.
     """
-    primes = None if primes is None else tuple(sorted({int(p) for p in primes}))
-    given = {"disc": disc, "pmax": pmax, "dmin": dmin, "dmax": dmax, "primes": primes}
+    if kind not in _SCAN_PARAMS:
+        raise ValueError(f"unknown scan kind {kind!r}")
+    required, optional = _SCAN_PARAMS[kind]
+    given = {key: value for key, value in given.items() if value is not None}
+    if not set(required) <= given.keys():
+        raise ValueError(f"{kind} scan needs " + " and ".join(required))
+    foreign = sorted(given.keys() - set(required) - set(optional))
+    if foreign:
+        raise ValueError(f"{kind} scan takes no " + " or ".join(foreign))
+    if kind == "grid" and ("pmax" in given) == ("primes" in given):
+        raise ValueError("grid scan takes exactly one of pmax and primes")
+    if kind == "million":
+        given.setdefault("primes", (3, 5))
+    if "primes" in given:
+        given["primes"] = tuple(sorted({int(p) for p in given["primes"]}))
     params = {
         key: ",".join(map(str, value)) if key == "primes" else str(value)
         for key, value in given.items()
-        if value is not None
     }
-    d_lo = max(dmin or 2, 2)
+    d_lo = max(given.get("dmin", 2), 2)
     if kind == "fixed-disc":
-        validate_fundamental_discriminant(disc)
+        disc, pmax = validate_fundamental_discriminant(given["disc"]), given["pmax"]
         if pmax < 3:
             raise ValueError("pmax must be at least 3")
         blocks = _block_ranges(3, pmax, PRIME_BLOCK)
         task = partial(compute_fixed_disc_block, disc)
     elif kind == "grid":
-        primes = tuple(odd_primes_up_to(pmax)) if primes is None else primes
+        primes = given["primes"] if "primes" in given else tuple(odd_primes_up_to(given["pmax"]))
         for p in primes:
-            if not is_odd_prime(p):
-                raise ValueError(f"{p} is not an odd prime")
-        blocks = _block_ranges(d_lo, dmax, GRID_BLOCK)
+            validate_odd_prime(p)
+        blocks = _block_ranges(d_lo, given["dmax"], GRID_BLOCK)
         task = partial(compute_grid_block, primes=primes)
-    elif kind == "million":
+    else:
+        primes, dmax = given["primes"], given["dmax"]
         if not set(primes) <= {3, 5}:
             raise ValueError("the million scan supports the primes 3 and 5 only")
         validate_siegel_gate()
@@ -433,8 +444,6 @@ def scan_plan(
         sigma3 = divisor_sigma_sieve(3, limit) if 5 in primes else None
         blocks = _block_ranges(d_lo, dmax, MILLION_BLOCK)
         task = partial(compute_table3_block, primes=primes, sigma1=sigma1, sigma3=sigma3)
-    else:
-        raise ValueError(f"unknown scan kind {kind!r}")
     return ScanPlan(kind, params, blocks, task)
 
 
@@ -462,7 +471,8 @@ def scan_fixed_primes(
 def high_valuation_survey(
     records: Iterable[IndexRecord], p: int
 ) -> tuple[int, list[tuple[int, int]]]:
-    """Deepest hit valuation at the prime p, with every (D, 2m) attaining it."""
+    """Deepest hit valuation at the odd prime p, with every (D, 2m) attaining it."""
+    validate_odd_prime(p)
     best = 0
     attain: list[tuple[int, int]] = []
     for rec in records:

@@ -6,10 +6,11 @@ Three exact-rational routes:
 * character factor:    L(1-2m, chi) = -B(2m, chi) / (2m)
 * field zeta:          zeta_D(1-2m) = zeta(1-2m) * L(1-2m, chi)
 
-The character factor also has a modular route for p coprime to D:
-l_chi_mod (one m) and l_chi_residues (every m up to (p - 1)/2) read the
-numerator kernel of bernoulli.py.  The field zeta has none, as the Riemann
-factor is not p-integral at the top exponent.
+The character factor also has a modular route for p coprime to D and
+2m <= p - 1: l_chi_mod (one m) and l_chi_residues (every m up to
+(p - 1)/2) read the numerator kernel of bernoulli.py, which checks d, p
+and 2m.  Beyond p - 1 only the exact route answers.  The field zeta has no
+modular route, as the Riemann factor is not p-integral at the top exponent.
 
 For m = 1, 2 there is also the batch route via Siegel's divisor-sum
 formulas, which is subpolynomial per discriminant when D varies:
@@ -45,7 +46,6 @@ from .numtheory import (
     character_values,
     divisor_sigma_sieve,
     enumerate_fundamental_discriminants,
-    validate_fundamental_discriminant,
 )
 
 # zeta_D(1-2m) = (sum of divisor sums) / SIEGEL_DENOMINATOR[m]
@@ -76,19 +76,12 @@ def _l_from_bernoulli(b: int, m: int, p: int) -> int:
 
 
 def l_chi_mod(d: int, m: int, p: int) -> int:
-    """L(1 - 2m, chi_d) mod p for an odd prime p coprime to d.
+    """L(1 - 2m, chi_d) mod p for an odd prime p coprime to d and 2m <= p - 1.
 
-    The kernel route requires 2m <= p - 1; beyond that the value is still
-    p-integral (the conductor is not p), so it is computed exactly and reduced.
+    generalized_bernoulli_mod checks d, p and 2m; l_chi_exact reaches 2m > p - 1.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    _check_modular(d, p)
-    if 2 * m > p - 1:
-        value = l_chi_exact(d, m)
-        if value.denominator % p == 0:
-            raise ArithmeticError(f"L(1-{2 * m}, chi_{d}) is not {p}-integral")
-        return value.numerator * pow(value.denominator, -1, p) % p
     return _l_from_bernoulli(generalized_bernoulli_mod(d, 2 * m, p), m, p)
 
 

@@ -86,7 +86,8 @@ def is_fundamental_discriminant(d: int) -> bool:
 
 def validate_fundamental_discriminant(d: int) -> int:
     if not is_fundamental_discriminant(d):
-        raise ValueError(f"{d} is not a fundamental discriminant of a real quadratic field")
+        raise ValueError(f"{d} is not a fundamental discriminant of a real quadratic field "
+                         "(need d = 1 mod 4 squarefree, or 4m with m = 2, 3 mod 4 squarefree)")
     return d
 
 
@@ -141,6 +142,12 @@ def is_odd_prime(p: int) -> bool:
             return False
         q += 2
     return True
+
+
+def validate_odd_prime(p: int) -> int:
+    if not is_odd_prime(p):
+        raise ValueError(f"{p} is not an odd prime")
+    return p
 
 
 @dataclass(frozen=True)

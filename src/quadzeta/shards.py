@@ -104,18 +104,6 @@ def write_pairs_csv(path: Path, pairs: Iterable[IrregularPair]) -> None:
     _atomic_write(path, body)
 
 
-def read_pairs_csv(path: Path) -> list[IrregularPair]:
-    pairs = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != PAIR_HEADER:
-            raise ValueError(f"{path} is not a pairs file (header {header})")
-        for row in reader:
-            pairs.append(IrregularPair(int(row[0]), int(row[1]), int(row[2]), int(row[3])))
-    return pairs
-
-
 def file_digest(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:

@@ -196,47 +196,42 @@ def expected_counts_exact(records: Sequence[IndexRecord], r_max: int) -> list[fl
     return [float(t) for t in totals]
 
 
+# The "limit" prediction's categories: index 0, 1, 2 and the tail from 3 up.
+LIMIT_TAIL = 3
+
+
 def build_distribution(
-    records: Sequence[IndexRecord], prediction: str = "limit", tail_from: int | None = 3
+    records: Sequence[IndexRecord], prediction: str = "limit"
 ) -> DistributionTable:
     """Distribution table for a homogeneous record stream.
 
-    prediction "limit" uses the limiting fractions with the tail class
-    folded so expected counts total the population; "exact" sums the
-    per-record small-p binomials (tail_from is then normally None).
+    prediction "limit" uses the limiting fractions over the categories
+    {0}, {1}, {2}, {>=3}, the tail class folded so expected counts total
+    the population; "exact" sums the per-record small-p binomials over
+    singletons up to the largest trial count (p - 1)/2.
     """
     records = list(records)
     if not records:
         return _table("empty", 0, (), (), (), ())
-    if prediction not in ("limit", "exact"):
-        raise ValueError(f"unknown prediction mode {prediction!r}")
     size = len(records)
-    floor = 0
-    if tail_from is not None:
-        floor = tail_from
-    elif prediction == "exact":
-        # categories must be exhaustive: pad out to the largest trial count
-        floor = max((rec.prime - 1) // 2 for rec in records)
-    counts = observed_counts(records, floor)
-    top = len(counts) - 1
     if prediction == "limit":
-        fractions = [limit_fraction(r) for r in range(top + 1)]
+        counts = observed_counts(records, LIMIT_TAIL)
+        fractions = [limit_fraction(r) for r in range(len(counts))]
         expected = [size * f for f in fractions]
-    else:
-        expected = expected_counts_exact(records, top)
+        labels, g_obs = group_indices(counts, LIMIT_TAIL)
+        g_exp = expected[:LIMIT_TAIL] + [size * (1.0 - sum(fractions[:LIMIT_TAIL]))]
+        grouped = (labels, [float(o) for o in g_obs], g_exp)
+    elif prediction == "exact":
+        counts = observed_counts(records, max((rec.prime - 1) // 2 for rec in records))
+        expected = expected_counts_exact(records, len(counts) - 1)
         fractions = [e / size for e in expected]
-    g_labels, g_obs = group_indices(counts, tail_from)
-    _, g_exp = group_indices(expected, tail_from)
-    if tail_from is not None:
-        # fold the full tail mass so grouped expected counts total the population
-        if prediction == "limit":
-            g_exp[-1] = size * (1.0 - sum(limit_fraction(r) for r in range(tail_from)))
-        else:
-            g_exp[-1] = size - sum(g_exp[:-1])
+        grouped = None  # the singleton rows themselves
+    else:
+        raise ValueError(f"unknown prediction mode {prediction!r}")
     one_disc = len({rec.discriminant for rec in records}) == 1
     return _table("primes-fixed-D" if one_disc else "pairs-varying-D", size,
-                  [str(r) for r in range(top + 1)], [float(c) for c in counts], expected, fractions,
-                  (g_labels, [float(o) for o in g_obs], [float(e) for e in g_exp]))
+                  [str(r) for r in range(len(counts))], [float(c) for c in counts], expected,
+                  fractions, grouped)
 
 
 @dataclass(frozen=True)
@@ -249,7 +244,7 @@ class AggregateReport:
 
 
 def aggregate_across_discriminants(
-    records: Sequence[IndexRecord], prediction: str = "limit", tail_from: int | None = 3
+    records: Sequence[IndexRecord], prediction: str = "limit"
 ) -> AggregateReport:
     """Apply the averaged-counts methodology next to the plain totals.
 
@@ -259,7 +254,7 @@ def aggregate_across_discriminants(
     the statistic, so treat its significance as descriptive only.
     """
     records = list(records)
-    totals = build_distribution(records, prediction, tail_from)
+    totals = build_distribution(records, prediction)
     n_disc = len({rec.discriminant for rec in records})
     if n_disc == 0:
         return AggregateReport(totals=totals, averages=totals, discriminants=0)

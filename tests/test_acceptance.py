@@ -63,7 +63,7 @@ def test_criterion_1_table1_counts_and_predictions(table1_records, scan_dirs, ca
     start = time.monotonic()
     assert len(table1_records) == 668
     assert tuple(_index_counts(table1_records)) == TABLE1_OBSERVED
-    table = build_distribution(table1_records, "limit", tail_from=3)
+    table = build_distribution(table1_records, "limit")
     for got, want in zip(table.expected, TABLE1_PREDICTED):
         assert abs(got - want) <= 0.01, (got, want)
     import quadzeta.cli as cli
@@ -78,7 +78,7 @@ def test_criterion_1_table1_counts_and_predictions(table1_records, scan_dirs, ca
 def test_criterion_2_table1_chi_squared_series(table1_records):
     for cutoff, (stat_ref, sig_ref) in TABLE1_SERIES.items():
         sub = [r for r in table1_records if r.prime < cutoff]
-        table = build_distribution(sub, "limit", tail_from=3)
+        table = build_distribution(sub, "limit")
         assert abs(table.chi_squared - stat_ref) <= 0.01, cutoff
         assert abs(table.significance - sig_ref) <= 0.002, cutoff
 
@@ -88,10 +88,10 @@ def test_criterion_3_four_discriminant_fixture():
     records = []
     for d, stat_ref in per_d_reference.items():
         recs = scan_fixed_discriminant(d, 1000)
-        table = build_distribution(recs, "limit", tail_from=3)
+        table = build_distribution(recs, "limit")
         assert abs(table.chi_squared - stat_ref) <= 0.01, d
         records.extend(recs)
-    report = aggregate_across_discriminants(records, "limit", tail_from=3)
+    report = aggregate_across_discriminants(records, "limit")
     assert abs(report.totals.chi_squared - 3.53) <= 0.01
     assert abs(report.totals.significance - 0.316) <= 0.002
     assert abs(report.averages.chi_squared - 0.884) <= 0.01
@@ -102,7 +102,7 @@ def test_criterion_4_table2_reproduction(table2_records):
     start = time.monotonic()
     assert len({r.discriminant for r in table2_records}) == 1516
     assert len(table2_records) == 36384
-    report = aggregate_across_discriminants(table2_records, "limit", tail_from=3)
+    report = aggregate_across_discriminants(table2_records, "limit")
     for got, want in zip(report.totals.expected, TABLE2_PREDICTED):
         assert abs(got - want) <= 0.05, (got, want)
     assert abs(report.averages.chi_squared - 0.053) <= 0.005
@@ -120,7 +120,7 @@ def test_criterion_5_table3_reproduction(table3_records):
     assert len({r.discriminant for r in table3_records}) == 303_957
     assert len(table3_records) == 607_914
     assert tuple(_index_counts(table3_records)) == TABLE3_OBSERVED
-    report = aggregate_across_discriminants(table3_records, "exact", tail_from=None)
+    report = aggregate_across_discriminants(table3_records, "exact")
     for got, want in zip(report.totals.expected, TABLE3_PREDICTED):
         assert abs(got - want) <= 0.01, (got, want)
     assert abs(report.totals.chi_squared - 24636) <= 1.0

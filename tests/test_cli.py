@@ -233,6 +233,33 @@ def test_report_table1_and_residue_classes(capsys, small_fixed):
     assert len(payload["categories"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["index", "--p", "7"], id="index-chi-without-disc"),
+        pytest.param(["index", "--kind", "d", "--p", "7"], id="index-d-without-disc"),
+        pytest.param(["lvalue", "--disc", "9", "--m", "1"], id="lvalue-not-fundamental"),
+        pytest.param(["lvalue", "--disc", "5", "--m", "1", "--mod", "5"], id="lvalue-p-divides-d"),
+        pytest.param(["lvalue", "--disc", "5", "--m", "1", "--mod", "9"], id="lvalue-mod-not-prime"),
+        pytest.param(["lvalue", "--disc", "8", "--m", "2", "--mod", "3"], id="lvalue-2m-beyond-p-1"),
+        pytest.param(["report", "--input", "{scan}", "--table", "histogram", "--disc", "35",
+                      "--mod", "7"], id="histogram-not-fundamental"),
+        pytest.param(["report", "--input", "{scan}", "--table", "histogram", "--disc", "21",
+                      "--mod", "7"], id="histogram-p-divides-d"),
+        pytest.param(["scan", "--kind", "grid", "--pmax", "100", "--out", "{out}"],
+                     id="grid-without-dmax"),
+        pytest.param(["scan", "--kind", "million", "--dmax", "100", "--pmax", "7", "--out", "{out}"],
+                     id="million-with-pmax"),
+        pytest.param(["survey", "--input", "{scan}", "--primes", "9"], id="survey-not-prime"),
+    ],
+)
+def test_rejected_input_is_a_usage_error(capsys, tmp_path, small_fixed, argv):
+    argv = [arg.format(scan=small_fixed, out=tmp_path / "out") for arg in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and err.startswith("error:"), err
+    assert not (tmp_path / "out").exists()
+
+
 def test_survey_command(capsys, small_fixed, tmp_path):
     pairs_out = tmp_path / "pairs.csv"
     code, out, _ = run(capsys, "survey", "--input", str(small_fixed), "--primes", "3",
@@ -266,11 +293,18 @@ def test_gate_mismatch_exits_with_check_code(capsys, tmp_path, monkeypatch):
 
 
 def test_main_module_entry():
-    import subprocess, sys
+    import os, subprocess, sys
+    from pathlib import Path
 
+    import quadzeta
+
+    # the child imports the package under test, installed or not
+    src = str(Path(quadzeta.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(entry for entry in path if entry)}
     proc = subprocess.run(
         [sys.executable, "-m", "quadzeta", "lvalue", "--disc", "13", "--m", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "-2"

@@ -44,7 +44,8 @@ def test_l_chi_exact_examples():
 def test_l_chi_mod_examples():
     assert l_chi_mod(5, 1, 7) == 1
     assert l_chi_mod(5, 2, 7) == 2
-    assert l_chi_mod(8, 2, 3) == 2  # beyond p-1: exact fallback reduces 11 mod 3
+    with pytest.raises(ValueError, match="exceeds p - 1"):
+        l_chi_mod(8, 2, 3)  # 2m > p - 1: only l_chi_exact answers
 
 
 def test_l_chi_mod_rejects_shared_factor():
@@ -52,7 +53,7 @@ def test_l_chi_mod_rejects_shared_factor():
         l_chi_mod(5, 1, 5)
     with pytest.raises(ValueError):
         l_chi_mod(12, 1, 3)
-    # p is checked on the exact branch (2m > p - 1) as well
+    # p is checked before 2m <= p - 1
     for d, m, p in ((5, 10, 9), (5, 1, 2), (8, 3, 1)):
         with pytest.raises(ValueError, match="not an odd prime"):
             l_chi_mod(d, m, p)

@@ -37,6 +37,8 @@ def test_divisor_sum_route_equals_grid_route():
          lambda: scan_fixed_primes(2, 2100, odd_primes_up_to(20))),
         (["--kind", "million", "--dmax", "25000", "--primes", "3,5"],
          lambda: scan_fixed_primes(2, 25000, [3, 5])),
+        (["--kind", "grid", "--dmax", "2100", "--primes", "7,3,11"],
+         lambda: scan_fixed_primes(2, 2100, [3, 7, 11])),
     ],
 )
 def test_library_scan_equals_cli_shards(tmp_path, argv, library):
@@ -61,6 +63,13 @@ def test_plan_params_identify_the_cli_scans():
         ("fixed-disc", {"disc": 9, "pmax": 100}, "not a fundamental discriminant"),
         ("fixed-disc", {"disc": 5, "pmax": 2}, "at least 3"),
         ("bogus", {"dmax": 100}, "unknown scan kind"),
+        ("fixed-disc", {"disc": 5}, "fixed-disc scan needs disc and pmax"),
+        ("grid", {"pmax": 100}, "grid scan needs dmax"),
+        ("million", {"primes": [3]}, "million scan needs dmax"),
+        ("million", {"dmax": 100, "pmax": 7}, "million scan takes no pmax"),
+        ("fixed-disc", {"disc": 5, "pmax": 100, "dmin": 3}, "fixed-disc scan takes no dmin"),
+        ("grid", {"dmax": 100}, "exactly one of pmax and primes"),
+        ("grid", {"dmax": 100, "pmax": 20, "primes": [3]}, "exactly one of pmax and primes"),
     ],
 )
 def test_plan_validation(kind, params, problem):
@@ -86,3 +95,16 @@ def test_cli_uses_no_private_irregularity_name():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_cli_imports_nothing_from_numtheory():
+    # the library validates discriminants and primes; the CLI only maps its errors
+    tree = ast.parse(Path(quadzeta.cli.__file__).read_text())
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if "numtheory" in (getattr(node, "module", None) or "") or "numtheory" in alias.name
+    ]
+    assert imported == []

@@ -14,7 +14,6 @@ from quadzeta.shards import (
     parse_hits,
     read_index_shard,
     read_manifest,
-    read_pairs_csv,
     write_index_shard,
     write_manifest,
     write_pairs_csv,
@@ -79,8 +78,7 @@ def test_pairs_round_trip(tmp_path):
     pairs = [IrregularPair(3, 2, 24, 1), IrregularPair(37, 32, 5, 2)]
     path = tmp_path / "pairs.csv"
     write_pairs_csv(path, pairs)
-    assert read_pairs_csv(path) == pairs
-    assert path.read_text().splitlines()[0] == "p,two_m,D,valuation"
+    assert path.read_text().splitlines() == ["p,two_m,D,valuation", "3,2,24,1", "37,32,5,2"]
 
 
 def test_manifest_round_trip(tmp_path):

@@ -128,7 +128,7 @@ def test_chi_squared_statistic_basics():
 
 def test_build_distribution_limit_mode():
     records = [_record(5, p, 0) for p in (3, 7, 11)] + [_record(5, 13, 1)]
-    table = build_distribution(records, "limit", tail_from=3)
+    table = build_distribution(records, "limit")
     assert table.population == "primes-fixed-D"
     assert table.size == 4
     assert table.observed[0] == 3 and table.observed[1] == 1
@@ -138,7 +138,7 @@ def test_build_distribution_limit_mode():
 
 def test_build_distribution_exact_mode():
     records = [_record(d, 3, 0, delta=2) for d in (5, 8, 12)] + [_record(13, 5, 1, delta=4)]
-    table = build_distribution(records, "exact", tail_from=None)
+    table = build_distribution(records, "exact")
     # categories padded to the largest trial count (T = 2 at p = 5)
     assert len(table.expected) == 3
     assert abs(table.expected[0] - (3 * 2 / 3 + 16 / 25)) < 1e-12
@@ -154,7 +154,7 @@ def test_build_distribution_empty():
 def test_aggregate_identities():
     records = [_record(5, p, i % 3) for i, p in enumerate((3, 5, 7, 11, 13, 17))]
     records += [_record(8, p, (i + 1) % 2) for i, p in enumerate((3, 5, 7, 11, 13, 17))]
-    report = aggregate_across_discriminants(records, "limit", tail_from=3)
+    report = aggregate_across_discriminants(records, "limit")
     assert report.discriminants == 2
     for avg, tot in zip(report.averages.observed, report.totals.observed):
         assert avg * 2 == tot  # exact, Fraction arithmetic
@@ -163,7 +163,7 @@ def test_aggregate_identities():
 
 def test_aggregate_single_discriminant():
     records = [_record(5, p, 0) for p in (3, 7, 11, 13)]
-    report = aggregate_across_discriminants(records, "limit", tail_from=3)
+    report = aggregate_across_discriminants(records, "limit")
     assert report.discriminants == 1
     assert list(report.averages.observed) == list(report.totals.observed)
     assert report.averages.chi_squared == pytest.approx(report.totals.chi_squared, rel=1e-12)
@@ -236,9 +236,9 @@ def _record_lists(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(_record_lists(), st.sampled_from([("limit", 3), ("exact", None)]))
-def test_every_table_tests_its_grouped_rows(records, mode):
-    report = aggregate_across_discriminants(records, *mode)
+@given(_record_lists(), st.sampled_from(["limit", "exact"]))
+def test_every_table_tests_its_grouped_rows(records, prediction):
+    report = aggregate_across_discriminants(records, prediction)
     for table in (report.totals, report.averages):
         grouped = chi_squared_statistic(table.grouped_observed, table.grouped_expected,
                                         tail_from=None)
@@ -249,7 +249,7 @@ def test_every_table_tests_its_grouped_rows(records, mode):
 
 
 def test_empty_and_one_class_tables():
-    for table in (build_distribution([], "exact", tail_from=None),
+    for table in (build_distribution([], "exact"),
                   aggregate_across_discriminants([], "limit").averages):
         assert (table.significance, table.df, table.chi_squared) == (1.0, 0, 0.0)
         assert table.grouped_labels == ()
