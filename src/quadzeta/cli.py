@@ -10,18 +10,23 @@ the flag combinations argparse cannot express, and maps the library's
 exceptions to exit codes.  A scan runs the plan of `irregularity.scan_plan`,
 the same plan the library's scan functions run, with the flags as given;
 this module names the manifest's shards.  Scans write CSV shards plus a
-manifest; reports and surveys consume those files without touching the
-compute modules again (the residue histogram is the one exception, since
-shards do not carry residues).  All text output is ASCII; table renderers
-round with the banker's rounding of format(), while JSON output carries
-full-precision numbers.
+manifest.  Each block's shard is written and digested in the process that
+computed it (a pool worker, or this process at one worker); this process
+writes only the manifest, after each block in block order.  Reports and
+surveys consume those files without touching the compute modules again
+(the residue histogram is the one exception, since shards do not carry
+residues).  All text output is ASCII; table renderers round with the
+banker's rounding of format(), while JSON output carries full-precision
+numbers.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import irregularity, lvalues, shards, stats
@@ -60,6 +65,8 @@ def cmd_zeta(args) -> int:
 
 def cmd_index(args) -> int:
     if args.kind == "classical":
+        if args.disc is not None:
+            raise CommandError("--kind classical takes no --disc")
         rec = irregularity.classical_irregularity_index(args.p)
     elif args.disc is None:
         raise CommandError(f"--kind {args.kind} needs --disc")
@@ -106,10 +113,23 @@ def _scan_plan(args):
                                   primes=primes)
     manifest = shards.ScanManifest(kind=plan.kind, params=plan.params)
     for lo, hi in plan.blocks:
-        manifest.shards.append(
-            shards.ShardEntry(name=f"{plan.kind}-{lo:08d}-{hi:08d}.csv", lo=lo, hi=hi)
-        )
+        manifest.shards.append(shards.ShardEntry(name=_shard_name(plan.kind, lo, hi), lo=lo, hi=hi))
     return plan, manifest
+
+
+def _shard_name(kind: str, lo: int, hi: int) -> str:
+    return f"{kind}-{lo:08d}-{hi:08d}.csv"
+
+
+def _write_block(task, out: Path, kind: str, lo: int, hi: int) -> tuple[str, int]:
+    """Compute one block, write its shard and return (digest, record count).
+
+    This runs in the process that computed the block, so a pool scan sends
+    the parent only the digest and the count, never the records."""
+    records = task(lo, hi)
+    path = out / _shard_name(kind, lo, hi)
+    shards.write_index_shard(path, records)
+    return shards.file_digest(path), len(records)
 
 
 def _fmt_params(params: dict) -> str:
@@ -138,14 +158,15 @@ def cmd_scan(args) -> int:
                     total += (out / old.name).read_bytes().count(b"\n") - 1
     pending = [entry for entry in manifest.shards if not entry.complete]
     shards.write_manifest(out, manifest)
-    results = plan.run(args.workers, [(entry.lo, entry.hi) for entry in pending])
-    for entry, records in zip(pending, results):
-        path = out / entry.name
-        shards.write_index_shard(path, records)
-        entry.digest = shards.file_digest(path)
+    # workers may write shards ahead of the manifest; an entry is complete
+    # only once the manifest, written here in block order, says so
+    writer = dataclasses.replace(plan, task=partial(_write_block, plan.task, out, plan.kind))
+    results = writer.run(args.workers, [(entry.lo, entry.hi) for entry in pending])
+    for entry, (digest, count) in zip(pending, results):
+        entry.digest = digest
         entry.complete = True
         shards.write_manifest(out, manifest)
-        total += len(records)
+        total += count
     print(f"scan {args.kind} complete: {len(manifest.shards)} shards, {total} records")
     return EXIT_OK
 
@@ -242,7 +263,20 @@ def _emit_distribution(
               f"significance {_fmt_sig(averages.significance)}")
 
 
+# report flags that apply to one table only: (flag, that table)
+_TABLE_FLAGS = (
+    ("--pmax-cutoff", "1"),
+    ("--classes-mod", "residues"),
+    ("--bins", "ratios"),
+    ("--disc", "histogram"),
+    ("--mod", "histogram"),
+)
+
+
 def cmd_report(args) -> int:
+    for flag, table in _TABLE_FLAGS:
+        if getattr(args, flag[2:].replace("-", "_")) is not None and args.table != table:
+            raise CommandError(f"{flag} applies only to --table {table}")
     fmt = args.format
     if args.table == "1":
         records = _load(args)
@@ -265,12 +299,13 @@ def cmd_report(args) -> int:
             raise CommandError("residue-class report needs a fixed-discriminant scan")
         primes = sorted({r.prime for r in records})
         irregular = sorted({r.prime for r in records if r.index > 0})
-        table = stats.residue_class_report(irregular, primes, args.classes_mod)
+        modulus = 4 if args.classes_mod is None else args.classes_mod
+        table = stats.residue_class_report(irregular, primes, modulus)
         _emit_distribution(table, fmt)
     elif args.table == "ratios":
         records = _load(args)
         pairs = irregularity.irregular_pairs(records)
-        report = stats.ratio_uniformity_report(pairs, bins=args.bins)
+        report = stats.ratio_uniformity_report(pairs, bins=10 if args.bins is None else args.bins)
         payload = {
             "count": report.count,
             "bins": report.bins,
@@ -370,8 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--table", choices=["1", "2", "3", "residues", "ratios", "histogram"],
                           required=True)
     p_report.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    p_report.add_argument("--bins", type=int, default=10)
-    p_report.add_argument("--classes-mod", type=int, default=4)
+    p_report.add_argument("--bins", type=int, help="ratios: histogram bins (default 10)")
+    p_report.add_argument("--classes-mod", type=int,
+                          help="residues: modulus of the prime classes (default 4)")
     p_report.add_argument("--allow-partial", action="store_true")
     p_report.add_argument("--pmax-cutoff", type=int,
                           help="restrict table 1 to primes below this bound")

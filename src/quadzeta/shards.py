@@ -54,13 +54,17 @@ def _atomic_write(path: Path, write_body) -> None:
 
 
 def write_index_shard(path: Path, records: Iterable[IndexRecord]) -> None:
+    """Write the bytes csv.writer would (no field needs quoting, and every
+    row ends in CRLF), formatted as one string; most rows have no hits, so
+    format_hits runs only on those that do."""
+
     def body(fh):
-        writer = csv.writer(fh)
-        writer.writerow(INDEX_HEADER)
-        for rec in records:
-            writer.writerow(
-                [rec.discriminant, rec.prime, rec.delta, rec.index, format_hits(rec.hits)]
-            )
+        fh.write(",".join(INDEX_HEADER) + "\r\n")
+        fh.write("".join(
+            f"{r.discriminant},{r.prime},{r.delta},{len(r.hits)},"
+            f"{format_hits(r.hits) if r.hits else ''}\r\n"
+            for r in records
+        ))
 
     _atomic_write(path, body)
 

@@ -1,10 +1,15 @@
 import json
+import os
+from pathlib import Path
 
 import pytest
 
-from quadzeta import cli, lvalues, stats
+from quadzeta import cli, lvalues, shards, stats
 from quadzeta.cli import main
-from quadzeta.shards import MANIFEST_NAME, load_records, read_manifest, write_manifest
+from quadzeta.shards import MANIFEST_NAME, file_digest, load_records, read_manifest, write_manifest
+
+# three blocks of GRID_BLOCK discriminants, so a scan at two or more workers uses a pool
+SMALL_GRID = ["scan", "--kind", "grid", "--dmax", "2100", "--pmax", "20"]
 
 
 def run(capsys, *argv):
@@ -74,10 +79,13 @@ def test_scan_validation_errors(capsys, tmp_path):
 @pytest.fixture(scope="module")
 def small_grid(tmp_path_factory):
     out = tmp_path_factory.mktemp("smallgrid")
-    code = main(["scan", "--kind", "grid", "--dmax", "300", "--pmax", "20",
-                 "--out", str(out)])
+    code = main([*SMALL_GRID, "--out", str(out)])
     assert code == 0
     return out
+
+
+def files(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
 
 
 def test_scan_writes_shards_and_manifest(small_grid):
@@ -85,37 +93,91 @@ def test_scan_writes_shards_and_manifest(small_grid):
     assert manifest.kind == "grid"
     assert manifest.complete
     names = sorted(p.name for p in small_grid.iterdir())
-    assert MANIFEST_NAME in names
+    assert MANIFEST_NAME in names and len(manifest.shards) == 3
     assert all(n == MANIFEST_NAME or n.endswith(".csv") for n in names)
 
 
 def test_scan_worker_counts_byte_identical(tmp_path, small_grid):
     for workers in ("4", "16"):
         out = tmp_path / f"w{workers}"
-        assert main(["scan", "--kind", "grid", "--dmax", "300", "--pmax", "20",
-                     "--out", str(out), "--workers", workers]) == 0
-        for shard in sorted(small_grid.glob("*.csv")):
-            assert (out / shard.name).read_bytes() == shard.read_bytes()
+        assert main([*SMALL_GRID, "--out", str(out), "--workers", workers]) == 0
+        assert files(out) == files(small_grid)
 
 
 def test_scan_resume_is_byte_identical(tmp_path, small_grid):
     out = tmp_path / "resume"
-    assert main(["scan", "--kind", "grid", "--dmax", "300", "--pmax", "20",
-                 "--out", str(out)]) == 0
+    assert main([*SMALL_GRID, "--out", str(out)]) == 0
     # drop one shard and mark it incomplete, then resume
     manifest = read_manifest(out)
     victim = manifest.shards[0]
     (out / victim.name).unlink()
     victim.complete = False
     victim.digest = ""
-    from quadzeta.shards import write_manifest
-
     write_manifest(out, manifest)
-    assert main(["scan", "--kind", "grid", "--dmax", "300", "--pmax", "20",
-                 "--out", str(out), "--resume"]) == 0
-    for shard in sorted(small_grid.glob("*.csv")):
-        assert (out / shard.name).read_bytes() == shard.read_bytes()
-    assert read_manifest(out).complete
+    assert main([*SMALL_GRID, "--out", str(out), "--resume"]) == 0
+    assert files(out) == files(small_grid)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_shards_are_written_where_blocks_are_computed(tmp_path, monkeypatch, small_grid, workers):
+    log = tmp_path / "writer-pids.txt"
+    write = shards.write_index_shard
+
+    def logged(path, records):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        write(path, records)
+
+    monkeypatch.setattr(shards, "write_index_shard", logged)
+    out = tmp_path / "out"
+    assert main([*SMALL_GRID, "--out", str(out), "--workers", str(workers)]) == 0
+    pids = [int(line) for line in log.read_text().split()]
+    assert len(pids) == 3
+    if workers == 1:
+        assert set(pids) == {os.getpid()}
+    else:
+        assert os.getpid() not in pids
+    assert files(out) == files(small_grid)
+
+
+def test_failing_worker_leaves_a_resumable_directory(capsys, tmp_path, monkeypatch, small_grid):
+    reference = read_manifest(small_grid).shards
+    victim = reference[1].name
+    write = shards.write_index_shard
+
+    def failing(path, records):
+        if Path(path).name == victim:
+            raise OSError(f"no space left writing {victim}")
+        write(path, records)
+
+    monkeypatch.setattr(shards, "write_index_shard", failing)
+    out = tmp_path / "out"
+    code, _, err = run(capsys, *SMALL_GRID, "--out", str(out), "--workers", "2")
+    assert code == 2 and err.startswith("error: no space left"), err
+    left = read_manifest(out).shards
+    assert [s.complete for s in left[:2]] == [True, False]
+    assert left[0].digest == reference[0].digest == file_digest(out / left[0].name)
+    monkeypatch.undo()
+    assert main([*SMALL_GRID, "--out", str(out), "--resume", "--workers", "2"]) == 0
+    assert files(out) == files(small_grid)
+
+
+def test_resume_rewrites_a_shard_written_ahead_of_the_manifest(tmp_path, small_grid):
+    # a killed parent can leave shards its workers wrote past the manifest,
+    # and a killed worker a temp file
+    out = tmp_path / "ahead"
+    assert main([*SMALL_GRID, "--out", str(out)]) == 0
+    manifest = read_manifest(out)
+    for entry in manifest.shards[1:]:  # two pending blocks, so the resume uses a pool
+        entry.complete = False
+        entry.digest = ""
+    ahead = manifest.shards[-1]
+    write_manifest(out, manifest)
+    (out / ahead.name).write_bytes(b"garbage\r\n")
+    (out / (ahead.name + ".tmp")).write_bytes(b"D,p,del")
+    assert main([*SMALL_GRID, "--out", str(out), "--resume", "--workers", "2"]) == 0
+    assert files(out) == files(small_grid)
+    assert not list(out.glob("*.tmp"))
 
 
 def test_scan_prints_the_record_total(capsys, tmp_path):
@@ -238,6 +300,8 @@ def test_report_table1_and_residue_classes(capsys, small_fixed):
     [
         pytest.param(["index", "--p", "7"], id="index-chi-without-disc"),
         pytest.param(["index", "--kind", "d", "--p", "7"], id="index-d-without-disc"),
+        pytest.param(["index", "--kind", "classical", "--disc", "9", "--p", "37"],
+                     id="index-classical-with-disc"),
         pytest.param(["lvalue", "--disc", "9", "--m", "1"], id="lvalue-not-fundamental"),
         pytest.param(["lvalue", "--disc", "5", "--m", "1", "--mod", "5"], id="lvalue-p-divides-d"),
         pytest.param(["lvalue", "--disc", "5", "--m", "1", "--mod", "9"], id="lvalue-mod-not-prime"),
@@ -246,6 +310,18 @@ def test_report_table1_and_residue_classes(capsys, small_fixed):
                       "--mod", "7"], id="histogram-not-fundamental"),
         pytest.param(["report", "--input", "{scan}", "--table", "histogram", "--disc", "21",
                       "--mod", "7"], id="histogram-p-divides-d"),
+        pytest.param(["report", "--input", "{scan}", "--table", "1", "--disc", "9", "--mod", "4",
+                      "--bins", "1"], id="table1-with-histogram-and-ratio-flags"),
+        pytest.param(["report", "--input", "{scan}", "--table", "1", "--disc", "5"],
+                     id="disc-outside-histogram"),
+        pytest.param(["report", "--input", "{scan}", "--table", "residues", "--mod", "7"],
+                     id="mod-outside-histogram"),
+        pytest.param(["report", "--input", "{scan}", "--table", "histogram", "--disc", "5",
+                      "--mod", "7", "--bins", "5"], id="bins-outside-ratios"),
+        pytest.param(["report", "--input", "{scan}", "--table", "ratios", "--classes-mod", "4"],
+                     id="classes-mod-outside-residues"),
+        pytest.param(["report", "--input", "{scan}", "--table", "residues", "--pmax-cutoff",
+                      "100"], id="pmax-cutoff-outside-table1"),
         pytest.param(["scan", "--kind", "grid", "--pmax", "100", "--out", "{out}"],
                      id="grid-without-dmax"),
         pytest.param(["scan", "--kind", "million", "--dmax", "100", "--pmax", "7", "--out", "{out}"],
