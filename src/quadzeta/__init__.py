@@ -11,6 +11,7 @@ from .bernoulli import (
     generalized_bernoulli_mod,
 )
 from .irregularity import (
+    IndexColumns,
     IndexRecord,
     IrregularPair,
     chi_irregularity_index,
@@ -60,6 +61,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AggregateReport",
     "DistributionTable",
+    "IndexColumns",
     "IndexRecord",
     "IrregularPair",
     "SigmaTable",

@@ -29,6 +29,8 @@ import sys
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from . import irregularity, lvalues, shards, stats
 
 EXIT_OK = 0
@@ -196,7 +198,9 @@ def _fmt_average(x, decimals: int = 2) -> str:
     return f"{x:.{decimals}f}"
 
 
-def _load(args) -> list:
+def _load(args) -> irregularity.IndexColumns:
+    if args.input is None:
+        raise CommandError(f"--table {args.table} needs --input")
     directory = Path(args.input)
     if not (directory / shards.MANIFEST_NAME).exists():
         raise CommandError(f"no manifest in {directory}", EXIT_INCOMPLETE)
@@ -263,25 +267,31 @@ def _emit_distribution(
               f"significance {_fmt_sig(averages.significance)}")
 
 
-# report flags that apply to one table only: (flag, that table)
+# the tables read from shards; the histogram is computed from --disc and --mod
+_SHARD_TABLES = ("1", "2", "3", "residues", "ratios")
+
+# report flags that apply to some tables only: (flag, those tables)
 _TABLE_FLAGS = (
-    ("--pmax-cutoff", "1"),
-    ("--classes-mod", "residues"),
-    ("--bins", "ratios"),
-    ("--disc", "histogram"),
-    ("--mod", "histogram"),
+    ("--pmax-cutoff", ("1",)),
+    ("--classes-mod", ("residues",)),
+    ("--bins", ("ratios",)),
+    ("--disc", ("histogram",)),
+    ("--mod", ("histogram",)),
+    ("--input", _SHARD_TABLES),
+    ("--allow-partial", _SHARD_TABLES),
 )
 
 
 def cmd_report(args) -> int:
-    for flag, table in _TABLE_FLAGS:
-        if getattr(args, flag[2:].replace("-", "_")) is not None and args.table != table:
-            raise CommandError(f"{flag} applies only to --table {table}")
+    for flag, tables in _TABLE_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value is not False and args.table not in tables:
+            raise CommandError(f"--table {args.table} takes no {flag}")
     fmt = args.format
     if args.table == "1":
         records = _load(args)
         if args.pmax_cutoff:
-            records = [r for r in records if r.prime < args.pmax_cutoff]
+            records = records.select(records.prime < args.pmax_cutoff)
         table = stats.build_distribution(records, prediction="limit")
         _emit_distribution(table, fmt)
     elif args.table == "2":
@@ -294,11 +304,10 @@ def cmd_report(args) -> int:
         _emit_distribution(report.totals, fmt, averages=report.averages, avg_decimals=6)
     elif args.table == "residues":
         records = _load(args)
-        discs = {r.discriminant for r in records}
-        if len(discs) != 1:
+        if len(np.unique(records.discriminant)) != 1:
             raise CommandError("residue-class report needs a fixed-discriminant scan")
-        primes = sorted({r.prime for r in records})
-        irregular = sorted({r.prime for r in records if r.index > 0})
+        primes = np.unique(records.prime).tolist()
+        irregular = np.unique(records.prime[records.index > 0]).tolist()
         modulus = 4 if args.classes_mod is None else args.classes_mod
         table = stats.residue_class_report(irregular, primes, modulus)
         _emit_distribution(table, fmt)
@@ -339,16 +348,14 @@ def cmd_report(args) -> int:
 
 def cmd_survey(args) -> int:
     records = _load(args)
-    for rec in records:
-        for _, v in rec.hits:
-            if v < 1:
-                raise CommandError("shards lack refined valuations")
+    if (records.valuation < 1).any():
+        raise CommandError("shards lack refined valuations")
     best, attain = irregularity.high_valuation_survey(records, args.primes_single)
     print(f"max valuation {best}")
     if attain:
         print("attained: " + "; ".join(f"D={d} 2m={two_m}" for d, two_m in attain))
-    top_index = max((rec.index for rec in records), default=0)
-    count = sum(1 for rec in records if rec.index == top_index)
+    top_index = int(records.index.max(initial=0))
+    count = int((records.index == top_index).sum())
     print(f"largest index {top_index}, count {count}")
     if args.pairs_out:
         pairs = irregularity.irregular_pairs(records)
@@ -401,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.set_defaults(fn=cmd_scan)
 
     p_report = sub.add_parser("report", help="render a table from scan shards")
-    p_report.add_argument("--input", type=str, required=True)
+    p_report.add_argument("--input", type=str, help="scan directory (every table but histogram)")
     p_report.add_argument("--table", choices=["1", "2", "3", "residues", "ratios", "histogram"],
                           required=True)
     p_report.add_argument("--format", choices=["text", "csv", "json"], default="text")

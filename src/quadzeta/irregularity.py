@@ -28,9 +28,10 @@ exact-rational loops (_exact_hits) remain as test oracles.
 from __future__ import annotations
 
 import multiprocessing as mp
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -90,13 +91,88 @@ class IrregularPair:
     valuation: int
 
 
-def irregular_pairs(records: Iterable[IndexRecord]) -> list[IrregularPair]:
+@dataclass(frozen=True, eq=False)
+class IndexColumns:
+    """chi-index records as int64 columns, one row per (D, p).
+
+    Row i's hits are (two_m[j], valuation[j]) for j in
+    [hit_offsets[i], hit_offsets[i + 1]); hit_offsets (len(self) + 1
+    entries) follows from the index column, each row's hit count.  Shards
+    are read into this form and the reports read it; records() gives the
+    per-record view.
+    """
+
+    discriminant: np.ndarray
+    prime: np.ndarray
+    delta: np.ndarray
+    index: np.ndarray
+    two_m: np.ndarray
+    valuation: np.ndarray
+    hit_offsets: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        offsets = np.zeros(len(self.index) + 1, dtype=np.int64)
+        np.cumsum(self.index, out=offsets[1:])
+        object.__setattr__(self, "hit_offsets", offsets)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def records(self) -> list[IndexRecord]:
+        """The rows as chi-index IndexRecords, built on demand."""
+        hits = iter(zip(self.two_m.tolist(), self.valuation.tolist()))
+        return [
+            IndexRecord(d, p, b, "chi", tuple(islice(hits, k)))
+            for d, p, b, k in zip(self.discriminant.tolist(), self.prime.tolist(),
+                                  self.delta.tolist(), self.index.tolist())
+        ]
+
+    @classmethod
+    def from_records(cls, records: Sequence[IndexRecord]) -> IndexColumns:
+        """The columns of records, in their order; each needs a discriminant."""
+        if any(rec.discriminant is None for rec in records):
+            raise ValueError("index columns need a discriminant on every record")
+        hits = np.array([hit for rec in records for hit in rec.hits], dtype=np.int64)
+        hits = hits.reshape(-1, 2)
+        return cls(*(np.array([getattr(rec, name) for rec in records], dtype=np.int64)
+                     for name in _COLUMNS[:4]),
+                   hits[:, 0].copy(), hits[:, 1].copy())
+
+    @classmethod
+    def concatenate(cls, parts: Sequence[IndexColumns]) -> IndexColumns:
+        """The rows of parts, in order."""
+        if not parts:
+            return cls.from_records([])
+        return cls(*(np.concatenate([getattr(part, name) for part in parts])
+                     for name in _COLUMNS))
+
+    def select(self, rows: np.ndarray) -> IndexColumns:
+        """The rows where the boolean mask rows is set, with their hits."""
+        hits = self.hit_rows(rows)
+        return IndexColumns(self.discriminant[rows], self.prime[rows], self.delta[rows],
+                            self.index[rows], self.two_m[hits], self.valuation[hits])
+
+    def hit_rows(self, column: np.ndarray) -> np.ndarray:
+        """column repeated once per hit of its row: each hit's row value."""
+        return np.repeat(column, self.index)
+
+
+_COLUMNS = ("discriminant", "prime", "delta", "index", "two_m", "valuation")
+
+
+def as_columns(records: IndexColumns | Iterable[IndexRecord]) -> IndexColumns:
+    """IndexColumns as given; records (chi records, as a scan returns them)
+    converted once."""
+    if isinstance(records, IndexColumns):
+        return records
+    return IndexColumns.from_records(list(records))
+
+
+def irregular_pairs(records: IndexColumns | Iterable[IndexRecord]) -> list[IrregularPair]:
     """Flatten hit lists into (p, 2m, D, valuation) tuples, record order."""
-    out = []
-    for rec in records:
-        for two_m, v in rec.hits:
-            out.append(IrregularPair(rec.prime, two_m, rec.discriminant, v))
-    return out
+    cols = as_columns(records)
+    return list(map(IrregularPair, cols.hit_rows(cols.prime).tolist(), cols.two_m.tolist(),
+                    cols.hit_rows(cols.discriminant).tolist(), cols.valuation.tolist()))
 
 
 def _delta(d, p: int):
@@ -361,9 +437,11 @@ class ScanPlan:
                 yield self.task(*block)
             return
         # the task, with the sigma tables it may hold, reaches each forked
-        # worker once through the initializer instead of once per block
+        # worker once through the initializer instead of once per block; a
+        # worker beyond the block count would never get one
         ctx = mp.get_context("fork")
-        with ctx.Pool(processes=workers, initializer=_pool_init, initargs=(self.task,)) as pool:
+        with ctx.Pool(processes=min(workers, len(blocks)), initializer=_pool_init,
+                      initargs=(self.task,)) as pool:
             yield from pool.imap(_run_block, blocks)
 
 
@@ -469,19 +547,15 @@ def scan_fixed_primes(
 
 
 def high_valuation_survey(
-    records: Iterable[IndexRecord], p: int
+    records: IndexColumns | Iterable[IndexRecord], p: int
 ) -> tuple[int, list[tuple[int, int]]]:
     """Deepest hit valuation at the odd prime p, with every (D, 2m) attaining it."""
     validate_odd_prime(p)
-    best = 0
-    attain: list[tuple[int, int]] = []
-    for rec in records:
-        if rec.prime != p:
-            continue
-        for two_m, v in rec.hits:
-            if v > best:
-                best = v
-                attain = [(rec.discriminant, two_m)]
-            elif v == best and best > 0:
-                attain.append((rec.discriminant, two_m))
-    return best, attain
+    cols = as_columns(records)
+    at_p = cols.hit_rows(cols.prime == p)
+    best = int(cols.valuation[at_p].max(initial=0))
+    if best <= 0:
+        return 0, []
+    attain = at_p & (cols.valuation == best)
+    return best, list(zip(cols.hit_rows(cols.discriminant)[attain].tolist(),
+                          cols.two_m[attain].tolist()))

@@ -8,7 +8,9 @@ where hits is a semicolon-joined list of 2m:valuation pairs, empty for
 index 0.  Irregular pairs use the schema p,two_m,D,valuation.  Shards are
 written atomically (temp file then rename) so an interrupted scan never
 leaves a truncated shard behind; the manifest records one shard per line
-with its digest and completion flag.
+with its digest and completion flag.  Shards are written from IndexRecord
+lists and read back as IndexColumns: the reader validates whole columns
+at once, and load_records joins the shards of a scan into one IndexColumns.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ import csv
 import hashlib
 import os
 from dataclasses import dataclass, field
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .irregularity import IndexRecord, IrregularPair
+import numpy as np
+
+from .irregularity import IndexColumns, IndexRecord, IrregularPair
 
 INDEX_HEADER = ["D", "p", "delta", "index", "hits"]
 PAIR_HEADER = ["p", "two_m", "D", "valuation"]
@@ -34,16 +37,6 @@ class IncompleteScanError(RuntimeError):
 
 def format_hits(hits: Sequence[tuple[int, int]]) -> str:
     return ";".join(f"{two_m}:{v}" for two_m, v in hits)
-
-
-def parse_hits(text: str) -> tuple[tuple[int, int], ...]:
-    if not text:
-        return ()
-    out = []
-    for part in text.split(";"):
-        two_m, _, v = part.partition(":")
-        out.append((int(two_m), int(v)))
-    return tuple(out)
 
 
 def _atomic_write(path: Path, write_body) -> None:
@@ -69,33 +62,77 @@ def write_index_shard(path: Path, records: Iterable[IndexRecord]) -> None:
     _atomic_write(path, body)
 
 
-def read_index_shard(path: Path) -> list[IndexRecord]:
-    """Parse an index shard, rejecting rows of the wrong arity, rows whose
-    index column disagrees with the number of hits, and rows that do not
-    strictly increase by (D, p)."""
-    records = []
-    previous = (0, 0)  # below every valid (D, p)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != INDEX_HEADER:
-            raise ValueError(f"{path} is not an index shard (header {header})")
-        for row in reader:
-            try:
-                d, p, delta, index, hits_text = row
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{reader.line_num}: expected 5 fields, got {len(row)}"
-                ) from None
-            hits = parse_hits(hits_text)
-            if int(index) != len(hits):
-                raise ValueError(f"{path}:{reader.line_num}: index {index} but {len(hits)} hits")
-            key = (int(d), int(p))
-            if key <= previous:
-                raise ValueError(f"{path}:{reader.line_num}: (D, p) {key} does not follow {previous}")
-            previous = key
-            records.append(IndexRecord(key[0], key[1], int(delta), "chi", hits))
-    return records
+def read_index_shard(path: Path) -> IndexColumns:
+    """Parse an index shard into columns.
+
+    Rows end in LF or CRLF, and the last may have no line end.  Rejects
+    rows of the wrong arity, rows whose index column disagrees with the
+    number of hits, malformed hits, and rows that do not strictly increase
+    by (D, p); every message names the file.  The checks run on whole
+    columns: per-row counts of commas and semicolons on the byte buffer,
+    np.loadtxt on columns 0-3, and one split of the hits fields of the rows
+    whose index is above 0.
+    """
+    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    header, _, body = data.partition(b"\n")
+    if header.decode(errors="replace").split(",") != INDEX_HEADER:
+        raise ValueError(f"{path} is not an index shard (header {header!r})")
+    if not body:
+        return IndexColumns.from_records([])
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    buf = np.frombuffer(body, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))  # one per row
+    starts = np.concatenate(([0], ends[:-1] + 1))
+
+    def per_row(byte: str) -> np.ndarray:
+        return np.add.reduceat(buf == ord(byte), starts, dtype=np.int64)
+
+    def check(ok: np.ndarray, message) -> None:
+        if not ok.all():
+            row = int(np.argmin(ok))
+            raise ValueError(f"{path}:{row + 2}: {message(row)}")  # the header is line 1
+
+    fields = np.where(ends > starts, per_row(",") + 1, 0)
+    check(fields == 5, lambda i: f"expected 5 fields, got {fields[i]}")
+    try:
+        table = np.loadtxt(body.splitlines(), dtype=np.int64, delimiter=",", usecols=range(4),
+                           comments=None, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}, counting rows from 0 after the header: {exc}") from None
+    d, p, delta, index = table.T.copy()
+    hits = np.where(buf[ends - 1] == ord(","), 0, per_row(";") + 1)  # parts of the hits field
+    check(index == hits, lambda i: f"index {index[i]} but {hits[i]} hits")
+    two_m, valuation = _parse_hits(path, buf, ends, index)
+    prev_d, prev_p = np.concatenate(([0], d[:-1])), np.concatenate(([0], p[:-1]))
+    check((d > prev_d) | ((d == prev_d) & (p > prev_p)), lambda i: (
+        f"(D, p) {int(d[i]), int(p[i])} does not follow {int(prev_d[i]), int(prev_p[i])}"))
+    return IndexColumns(d, p, delta, index, two_m, valuation)
+
+
+def _parse_hits(path: Path, buf: np.ndarray, ends: np.ndarray, index: np.ndarray):
+    """(two_m, valuation) of every hit, from the hits fields of the rows
+    whose index is above 0; index already equals each field's part count."""
+    fourth_comma = np.flatnonzero(buf == ord(",")).reshape(-1, 4)[:, 3]
+    hit_rows = index > 0
+    # each hits field with the newline that ends it: "2:1;4:2\n2:1\n"
+    edges = np.zeros(len(buf) + 1, dtype=np.int64)
+    edges[fourth_comma[hit_rows] + 1] += 1
+    edges[ends[hit_rows] + 1] -= 1
+    inside = np.cumsum(edges[:-1]) > 0
+    text = buf[inside]
+    separators = np.flatnonzero((text == ord(":")) | (text == ord(";")) | (text == ord("\n")))
+    # every hit is 2m:valuation, and hits are joined by ";" or end their field
+    bad = (text[separators] == ord(":")) != (np.arange(len(separators)) % 2 == 0)
+    if bad.any():
+        line = np.searchsorted(ends, np.flatnonzero(inside)[separators[np.argmax(bad)]]) + 2
+        raise ValueError(f"{path}:{line}: malformed hits")
+    tokens = text.tobytes().replace(b":", b"\n").replace(b";", b"\n").split(b"\n")[:-1]
+    try:
+        values = np.array(list(map(int, tokens)), dtype=np.int64).reshape(-1, 2)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: malformed hits ({exc})") from None
+    return values[:, 0].copy(), values[:, 1].copy()
 
 
 def write_pairs_csv(path: Path, pairs: Iterable[IrregularPair]) -> None:
@@ -202,7 +239,7 @@ def read_manifest(directory: Path) -> ScanManifest:
     return ScanManifest(kind=kind, params=params, shards=shards)
 
 
-def load_records(directory: Path, allow_partial: bool = False) -> list[IndexRecord]:
+def load_records(directory: Path, allow_partial: bool = False) -> IndexColumns:
     """Read every completed shard in range order; reject incomplete scans.
 
     The manifest's shard spans must partition the scan range
@@ -217,8 +254,8 @@ def load_records(directory: Path, allow_partial: bool = False) -> list[IndexReco
     manifest.validate_partition()
     if not manifest.complete and not allow_partial:
         raise IncompleteScanError(f"scan in {directory} is incomplete")
-    block_key = attrgetter("prime" if manifest.kind == "fixed-disc" else "discriminant")
-    records: list[IndexRecord] = []
+    block_key = "prime" if manifest.kind == "fixed-disc" else "discriminant"
+    parts = []
     for entry in sorted(manifest.shards, key=lambda s: s.lo):
         if not entry.complete:
             continue
@@ -228,8 +265,8 @@ def load_records(directory: Path, allow_partial: bool = False) -> list[IndexReco
         if file_digest(path) != entry.digest:
             raise ValueError(f"digest mismatch for shard {entry.name}")
         shard = read_index_shard(path)
-        keys = list(map(block_key, shard))
-        if keys and (min(keys) < entry.lo or max(keys) >= entry.hi):
+        keys = getattr(shard, block_key)
+        if len(keys) and (keys.min() < entry.lo or keys.max() >= entry.hi):
             raise ValueError(f"shard {entry.name} holds records outside [{entry.lo}, {entry.hi})")
-        records.extend(shard)
-    return records
+        parts.append(shard)
+    return IndexColumns.concatenate(parts)

@@ -13,6 +13,10 @@ The chi-squared statistic defaults to the grouping {0}, {1}, {2}, {>=3}
 (three degrees of freedom); small-p tables override it with explicit
 singleton categories.  Significance is the upper-tail probability of the
 chi-squared distribution, Q(df/2, x/2).
+
+The index statistics read IndexColumns (np.bincount on the index column,
+counts per prime, distinct discriminants); a list of IndexRecord enters
+through irregularity.as_columns.  Expected counts stay exact Fraction sums.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .irregularity import IndexRecord, IrregularPair
+import numpy as np
+
+from .irregularity import IndexColumns, IndexRecord, IrregularPair, as_columns
 
 
 def limit_fraction(r: int) -> float:
@@ -172,24 +178,22 @@ def _table(
     )
 
 
-def observed_counts(records: Sequence[IndexRecord], r_max: int | None = None) -> list[int]:
-    top = max((rec.index for rec in records), default=0)
-    if r_max is not None:
-        top = max(top, r_max)
-    counts = [0] * (top + 1)
-    for rec in records:
-        counts[rec.index] += 1
-    return counts
+def observed_counts(
+    records: IndexColumns | Iterable[IndexRecord], r_max: int | None = None
+) -> list[int]:
+    """Records per index value 0, 1, ..., at least up to r_max."""
+    return np.bincount(as_columns(records).index, minlength=(r_max or 0) + 1).tolist()
 
 
-def expected_counts_exact(records: Sequence[IndexRecord], r_max: int) -> list[float]:
+def expected_counts_exact(records: IndexColumns | Iterable[IndexRecord], r_max: int) -> list[float]:
     """Sum of per-record binomial probabilities with T = (p-1)/2 trials.
 
     Uses the uniform trial count for every record, including D = p; that is
     the convention the reference tabulations follow.
     """
     totals = [Fraction(0)] * (r_max + 1)
-    for p, count in Counter(rec.prime for rec in records).items():
+    primes, counts = np.unique(as_columns(records).prime, return_counts=True)
+    for p, count in zip(primes.tolist(), counts.tolist()):
         probs = exact_index_distribution(p)
         for r in range(min(r_max + 1, len(probs))):
             totals[r] += count * probs[r]
@@ -201,7 +205,7 @@ LIMIT_TAIL = 3
 
 
 def build_distribution(
-    records: Sequence[IndexRecord], prediction: str = "limit"
+    records: IndexColumns | Iterable[IndexRecord], prediction: str = "limit"
 ) -> DistributionTable:
     """Distribution table for a homogeneous record stream.
 
@@ -210,28 +214,35 @@ def build_distribution(
     the population; "exact" sums the per-record small-p binomials over
     singletons up to the largest trial count (p - 1)/2.
     """
-    records = list(records)
-    if not records:
+    cols = as_columns(records)
+    if not len(cols):
         return _table("empty", 0, (), (), (), ())
-    size = len(records)
+    size = len(cols)
     if prediction == "limit":
-        counts = observed_counts(records, LIMIT_TAIL)
+        counts = observed_counts(cols, LIMIT_TAIL)
         fractions = [limit_fraction(r) for r in range(len(counts))]
         expected = [size * f for f in fractions]
         labels, g_obs = group_indices(counts, LIMIT_TAIL)
         g_exp = expected[:LIMIT_TAIL] + [size * (1.0 - sum(fractions[:LIMIT_TAIL]))]
         grouped = (labels, [float(o) for o in g_obs], g_exp)
     elif prediction == "exact":
-        counts = observed_counts(records, max((rec.prime - 1) // 2 for rec in records))
-        expected = expected_counts_exact(records, len(counts) - 1)
+        counts = observed_counts(cols, (int(cols.prime.max()) - 1) // 2)
+        expected = expected_counts_exact(cols, len(counts) - 1)
         fractions = [e / size for e in expected]
         grouped = None  # the singleton rows themselves
     else:
         raise ValueError(f"unknown prediction mode {prediction!r}")
-    one_disc = len({rec.discriminant for rec in records}) == 1
+    one_disc = _distinct(cols.discriminant) == 1
     return _table("primes-fixed-D" if one_disc else "pairs-varying-D", size,
                   [str(r) for r in range(len(counts))], [float(c) for c in counts], expected,
                   fractions, grouped)
+
+
+def _distinct(values: np.ndarray) -> int:
+    """How many distinct values; by sorting, since np.unique hashes and
+    is many times slower on 10^5 distinct values."""
+    ordered = np.sort(values)
+    return int(len(ordered) and 1 + np.count_nonzero(ordered[1:] != ordered[:-1]))
 
 
 @dataclass(frozen=True)
@@ -244,7 +255,7 @@ class AggregateReport:
 
 
 def aggregate_across_discriminants(
-    records: Sequence[IndexRecord], prediction: str = "limit"
+    records: IndexColumns | Iterable[IndexRecord], prediction: str = "limit"
 ) -> AggregateReport:
     """Apply the averaged-counts methodology next to the plain totals.
 
@@ -253,9 +264,9 @@ def aggregate_across_discriminants(
     means.  The result is a heuristic: dividing by a constant just rescales
     the statistic, so treat its significance as descriptive only.
     """
-    records = list(records)
-    totals = build_distribution(records, prediction)
-    n_disc = len({rec.discriminant for rec in records})
+    cols = as_columns(records)
+    totals = build_distribution(cols, prediction)
+    n_disc = _distinct(cols.discriminant)
     if n_disc == 0:
         return AggregateReport(totals=totals, averages=totals, discriminants=0)
 

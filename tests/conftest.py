@@ -30,17 +30,17 @@ def scan_dirs(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def table1_records(scan_dirs):
-    return shards.load_records(scan_dirs["table1"])
+    return shards.load_records(scan_dirs["table1"]).records()
 
 
 @pytest.fixture(scope="session")
 def table2_records(scan_dirs):
-    return shards.load_records(scan_dirs["table2"])
+    return shards.load_records(scan_dirs["table2"]).records()
 
 
 @pytest.fixture(scope="session")
 def table3_records(scan_dirs):
-    return shards.load_records(scan_dirs["table3"])
+    return shards.load_records(scan_dirs["table3"]).records()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -252,21 +253,20 @@ def test_report_ratios_and_residues(capsys, small_grid):
     assert code == 2 and "fixed-discriminant" in err
 
 
-def test_report_histogram_direct_computation(capsys, small_grid):
-    code, out, _ = run(capsys, "report", "--input", str(small_grid), "--table",
-                       "histogram", "--disc", "5", "--mod", "7", "--format", "json")
+def test_report_histogram_direct_computation(capsys):
+    code, out, _ = run(capsys, "report", "--table", "histogram", "--disc", "5", "--mod", "7",
+                       "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert len(payload["categories"]) == 7
-    code, _, _ = run(capsys, "report", "--input", str(small_grid), "--table",
-                     "histogram", "--disc", "5")
+    code, _, _ = run(capsys, "report", "--table", "histogram", "--disc", "5")
     assert code == 2
 
 
 @pytest.mark.parametrize("d, p", [(5, 7), (8, 3), (13, 11), (1685, 31), (3869, 97)])
-def test_histogram_matches_per_value_route(capsys, small_grid, d, p):
+def test_histogram_matches_per_value_route(capsys, d, p):
     for fmt in ("text", "json"):
-        code, out, _ = run(capsys, "report", "--input", str(small_grid), "--table", "histogram",
+        code, out, _ = run(capsys, "report", "--table", "histogram",
                            "--disc", str(d), "--mod", str(p), "--format", fmt)
         assert code == 0
         residues = [lvalues.l_chi_mod(d, m, p) for m in range(1, (p - 1) // 2 + 1)]
@@ -306,22 +306,31 @@ def test_report_table1_and_residue_classes(capsys, small_fixed):
         pytest.param(["lvalue", "--disc", "5", "--m", "1", "--mod", "5"], id="lvalue-p-divides-d"),
         pytest.param(["lvalue", "--disc", "5", "--m", "1", "--mod", "9"], id="lvalue-mod-not-prime"),
         pytest.param(["lvalue", "--disc", "8", "--m", "2", "--mod", "3"], id="lvalue-2m-beyond-p-1"),
-        pytest.param(["report", "--input", "{scan}", "--table", "histogram", "--disc", "35",
-                      "--mod", "7"], id="histogram-not-fundamental"),
-        pytest.param(["report", "--input", "{scan}", "--table", "histogram", "--disc", "21",
-                      "--mod", "7"], id="histogram-p-divides-d"),
+        pytest.param(["report", "--table", "histogram", "--disc", "35", "--mod", "7"],
+                     id="histogram-not-fundamental"),
+        pytest.param(["report", "--table", "histogram", "--disc", "21", "--mod", "7"],
+                     id="histogram-p-divides-d"),
         pytest.param(["report", "--input", "{scan}", "--table", "1", "--disc", "9", "--mod", "4",
                       "--bins", "1"], id="table1-with-histogram-and-ratio-flags"),
         pytest.param(["report", "--input", "{scan}", "--table", "1", "--disc", "5"],
                      id="disc-outside-histogram"),
         pytest.param(["report", "--input", "{scan}", "--table", "residues", "--mod", "7"],
                      id="mod-outside-histogram"),
-        pytest.param(["report", "--input", "{scan}", "--table", "histogram", "--disc", "5",
-                      "--mod", "7", "--bins", "5"], id="bins-outside-ratios"),
+        pytest.param(["report", "--table", "histogram", "--disc", "5", "--mod", "7",
+                      "--bins", "5"], id="bins-outside-ratios"),
+        pytest.param(["report", "--input", "{scan}", "--table", "1", "--bins", "0"],
+                     id="bins-0-outside-ratios"),
         pytest.param(["report", "--input", "{scan}", "--table", "ratios", "--classes-mod", "4"],
                      id="classes-mod-outside-residues"),
         pytest.param(["report", "--input", "{scan}", "--table", "residues", "--pmax-cutoff",
                       "100"], id="pmax-cutoff-outside-table1"),
+        pytest.param(["report", "--input", "{scan}", "--table", "histogram", "--disc", "5",
+                      "--mod", "7"], id="input-with-histogram"),
+        pytest.param(["report", "--input", "/nonexistent-dir", "--table", "histogram", "--disc",
+                      "5", "--mod", "7", "--allow-partial"],
+                     id="input-and-allow-partial-with-histogram"),
+        pytest.param(["report", "--table", "histogram", "--disc", "5", "--mod", "7",
+                      "--allow-partial"], id="allow-partial-with-histogram"),
         pytest.param(["scan", "--kind", "grid", "--pmax", "100", "--out", "{out}"],
                      id="grid-without-dmax"),
         pytest.param(["scan", "--kind", "million", "--dmax", "100", "--pmax", "7", "--out", "{out}"],
@@ -334,6 +343,92 @@ def test_rejected_input_is_a_usage_error(capsys, tmp_path, small_fixed, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2 and err.startswith("error:"), err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("table", ["1", "2", "3", "residues", "ratios"])
+def test_shard_tables_need_input(capsys, table):
+    code, _, err = run(capsys, "report", "--table", table)
+    assert code == 2 and f"--table {table} needs --input" in err, err
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of the stdout of the reports and surveys that read index columns,
+# on the fixtures above, pinned from the row-by-row reader the columns replaced
+_PINNED_REPORTS = {
+    "table1-cutoff": ("small_fixed", ["--table", "1", "--pmax-cutoff", "200"], {
+        "text": "6147e25d18acdb670c883f0e55fc61406095ba5e7fe469bab6a73a9fd8bd467c",
+        "csv": "bab617bf59cc09cf8c4d74f41467a4ae313a09221996da78272f090603a90cdf",
+        "json": "e3bc181a24e2878027e9853dce06c78e6f06d1c5779b35d3663ad9d7dfc860c7"}),
+    "residues": ("small_fixed", ["--table", "residues"], {
+        "text": "e0d2dfce45b3e5ce4a90b8711b6d376314a16684fc339544cb4b28d0071bb353",
+        "csv": "932d132409651bec6e49f165adb9c863b2cedfb2087307d75dfc203014c90233",
+        "json": "5b6cba65246f10000f3dd5b9f220e6d96090f5dfdf5c3e96b4714c2aa545210f"}),
+    "residues-mod-3": ("small_fixed", ["--table", "residues", "--classes-mod", "3"], {
+        "text": "1f998d8d46ba38dde2893adab00afe2a00f9844731726a4b88019e2729c7909d",
+        "csv": "a4ed0ea3ab22a46f8202a27f273b1a3ae4ad351188c8a4c8f6a1563418938699",
+        "json": "897e98fff137c7ca138d5209cae8eb30520485ec39baa42c076267d9b6efbd04"}),
+    "ratios": ("small_grid", ["--table", "ratios"], {
+        "text": "069f49cb30d298391c4b106f37418112047a98f9b190dadeb5370ae8c03769d8",
+        "csv": "9c6ae9e0e1ad1f94e86b38e0bc19be6e1090923ab805d162644676ec1596b09a",
+        "json": "c16180cca478985ee25cfd0823afd3a573c48a3956e3828bf9a89db935246caf"}),
+    "ratios-bins-4": ("small_fixed", ["--table", "ratios", "--bins", "4"], {
+        "text": "0714c969ce28e3f4e9af65e6c3943fe63c9b9595e2bb2d5b1021d61fa48a4ca9",
+        "csv": "0bfa0cc52d33da3cdd9efe8b90854121770a90d65bdfb956e2158226845a243a",
+        "json": "b6fe1f851651d41b9b1b3ecd84749428c3a293794dba31fc7ca51e0ccc20886f"}),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_REPORTS))
+def test_column_reports_are_pinned(capsys, request, name):
+    scan, argv, pinned = _PINNED_REPORTS[name]
+    directory = request.getfixturevalue(scan)
+    capsys.readouterr()  # a fixture made here prints its scan summary
+    for fmt, digest in pinned.items():
+        code, out, _ = run(capsys, "report", "--input", str(directory), *argv, "--format", fmt)
+        assert code == 0 and _sha256(out) == digest, out
+
+
+@pytest.mark.parametrize("scan, prime, printed, pairs", [
+    ("small_fixed", "3", "45cd1e39665fe8cdbf3d3686707f39cb2421459fea1a4436b7823790cb9d7351",
+     "3420a0c110224d4529458a5124ec17288f1dbf0d56abe8980fe270800c7c573f"),
+    ("small_fixed", "5", "45cd1e39665fe8cdbf3d3686707f39cb2421459fea1a4436b7823790cb9d7351",
+     "3420a0c110224d4529458a5124ec17288f1dbf0d56abe8980fe270800c7c573f"),
+    ("small_grid", "3", "f5fead1089a263fc020ef02f82a6aeb6cdf8f62b9317c3101b73fe1cad565b77",
+     "dc56061fec6581946326f88bb6480bcdf5d1fe06dc728e29bbf430b649a1e94b"),
+    ("small_grid", "5", "b7cb0bac2baa39706fbee445eb81b58d645f6c0edc39f1980ffa4e9fbc4d2808",
+     "dc56061fec6581946326f88bb6480bcdf5d1fe06dc728e29bbf430b649a1e94b"),
+])
+def test_survey_is_pinned(capsys, request, tmp_path, scan, prime, printed, pairs):
+    directory = request.getfixturevalue(scan)
+    capsys.readouterr()  # a fixture made here prints its scan summary
+    pairs_out = tmp_path / "pairs.csv"
+    code, out, _ = run(capsys, "survey", "--input", str(directory), "--primes", prime,
+                       "--pairs-out", str(pairs_out))
+    assert code == 0 and _sha256(out.replace(str(pairs_out), "PAIRS")) == printed, out
+    assert _sha256(pairs_out.read_text()) == pairs
+
+
+@pytest.mark.parametrize("table, fmt, digest", [
+    ("1", "text", "6220df185102de1fad191bd3263d3d64603569a464623681b64a44733fa18f6c"),
+    ("1", "json", "24488d5ad8658aceea1fec5f1ad9526b29a58e0fd5c36fc6a19348d0219fd065"),
+    ("2", "text", "ba1f50ebae8e23f3e6740df02c48d01a36c33fff338058475be82c7634f42cc2"),
+    ("2", "json", "0cd70e53157f2ec3ebff7988db785e08eac92b154a494fcaa86ebc70af7ac95d"),
+    ("3", "text", "ba1f50ebae8e23f3e6740df02c48d01a36c33fff338058475be82c7634f42cc2"),
+    ("3", "json", "0cd70e53157f2ec3ebff7988db785e08eac92b154a494fcaa86ebc70af7ac95d"),
+])
+def test_partial_report_without_a_complete_shard(capsys, tmp_path, small_grid, table, fmt,
+                                                 digest):
+    capsys.readouterr()  # a fixture made here prints its scan summary
+    manifest = read_manifest(small_grid)
+    for entry in manifest.shards:
+        entry.complete = False
+    write_manifest(tmp_path, manifest)
+    code, out, _ = run(capsys, "report", "--input", str(tmp_path), "--table", table,
+                       "--allow-partial", "--format", fmt)
+    assert code == 0 and _sha256(out) == digest, out
 
 
 def test_survey_command(capsys, small_fixed, tmp_path):

@@ -1,4 +1,5 @@
 import ast
+import multiprocessing as mp
 from pathlib import Path
 
 import pytest
@@ -44,7 +45,7 @@ def test_divisor_sum_route_equals_grid_route():
 def test_library_scan_equals_cli_shards(tmp_path, argv, library):
     assert main(["scan", *argv, "--out", str(tmp_path), "--workers", "2"]) == 0
     assert len(read_manifest(tmp_path).shards) > 1
-    assert load_records(tmp_path) == library()
+    assert load_records(tmp_path).records() == library()
 
 
 def test_plan_params_identify_the_cli_scans():
@@ -53,6 +54,22 @@ def test_plan_params_identify_the_cli_scans():
     plan = scan_plan("million", dmax=30000, primes=[5, 3, 5])
     assert plan.params == {"dmax": "30000", "primes": "3,5"}
     assert plan.blocks == [(2, 10000), (10000, 20000), (20000, 30000)]
+
+
+def test_pool_has_no_more_workers_than_blocks(monkeypatch):
+    # records the pool size asked of the fork context, and starts no process
+    asked = []
+
+    def no_pool(processes, **kwargs):
+        asked.append(processes)
+        raise RuntimeError("no pool in this test")
+
+    monkeypatch.setattr(mp.get_context("fork"), "Pool", no_pool)
+    plan = scan_plan("grid", dmax=2100, pmax=20)
+    assert len(plan.blocks) == 3
+    with pytest.raises(RuntimeError, match="no pool"):
+        list(plan.run(16))
+    assert asked == [3]
 
 
 @pytest.mark.parametrize(

@@ -1,17 +1,21 @@
+import csv
+import re
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from quadzeta.cli import main
-from quadzeta.irregularity import IndexRecord, IrregularPair
+from quadzeta.irregularity import IndexColumns, IndexRecord, IrregularPair
 from quadzeta.shards import (
+    INDEX_HEADER,
     IncompleteScanError,
     ScanManifest,
     ShardEntry,
     file_digest,
     format_hits,
     load_records,
-    parse_hits,
     read_index_shard,
     read_manifest,
     write_index_shard,
@@ -28,11 +32,55 @@ def _records():
     ]
 
 
+def _oracle_hits(text):
+    if not text:
+        return ()
+    out = []
+    for part in text.split(";"):
+        two_m, _, v = part.partition(":")
+        out.append((int(two_m), int(v)))
+    return tuple(out)
+
+
+def _oracle_read(path):
+    """The row-by-row csv reader that read_index_shard replaced: the test
+    oracle of the columnar reader."""
+    records = []
+    previous = (0, 0)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != INDEX_HEADER:
+            raise ValueError(f"{path} is not an index shard (header {header})")
+        for row in reader:
+            try:
+                d, p, delta, index, hits_text = row
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{reader.line_num}: expected 5 fields, got {len(row)}"
+                ) from None
+            hits = _oracle_hits(hits_text)
+            if int(index) != len(hits):
+                raise ValueError(f"{path}:{reader.line_num}: index {index} but {len(hits)} hits")
+            key = (int(d), int(p))
+            if key <= previous:
+                raise ValueError(f"{path}:{reader.line_num}: (D, p) {key} does not follow {previous}")
+            previous = key
+            records.append(IndexRecord(key[0], key[1], int(delta), "chi", hits))
+    return records
+
+
+def _same_columns(a, b):
+    names = ("discriminant", "prime", "delta", "index", "hit_offsets", "two_m", "valuation")
+    return all(getattr(a, n).dtype == getattr(b, n).dtype == np.int64
+               and np.array_equal(getattr(a, n), getattr(b, n)) for n in names)
+
+
 def test_hits_round_trip():
     assert format_hits(()) == ""
     assert format_hits(((2, 1), (32, 7))) == "2:1;32:7"
-    assert parse_hits("2:1;32:7") == ((2, 1), (32, 7))
-    assert parse_hits("") == ()
+    assert _oracle_hits("2:1;32:7") == ((2, 1), (32, 7))
+    assert _oracle_hits("") == ()
 
 
 # hit lists as the kernels emit them: distinct even exponents, ascending,
@@ -60,11 +108,66 @@ def _index_records(draw):
 def test_index_shard_round_trip(tmp_path, records):
     path = tmp_path / "shard.csv"
     write_index_shard(path, records)
-    assert read_index_shard(path) == records
+    columns = read_index_shard(path)
+    assert columns.records() == records == _oracle_read(path)
+    assert _same_columns(columns, IndexColumns.from_records(records))
+    assert len(columns) == len(records) and len(columns.hit_offsets) == len(records) + 1
     header = path.read_text().splitlines()[0]
     assert header == "D,p,delta,index,hits"
     for rec in records:
-        assert parse_hits(format_hits(rec.hits)) == rec.hits
+        assert _oracle_hits(format_hits(rec.hits)) == rec.hits
+
+
+_HEADER = "D,p,delta,index,hits\n"
+
+# (shard bytes, whether the csv oracle accepts them)
+_CORPUS = {
+    "lf": (_HEADER + "5,3,2,0,\n5,7,6,2,2:1;4:2\n8,3,2,1,2:1\n", True),
+    "crlf": (_HEADER.replace("\n", "\r\n") + "5,3,2,0,\r\n5,7,6,2,2:1;4:2\r\n", True),
+    "mixed-line-ends": (_HEADER + "5,3,2,0,\r\n5,7,6,1,2:1\n", True),
+    "no-final-newline": (_HEADER + "5,3,2,0,\r\n5,7,6,2,2:1;4:2", True),
+    "no-final-newline-no-hits": (_HEADER + "5,3,2,0,\n5,7,6,0,", True),
+    "header-only": (_HEADER, True),
+    "header-only-crlf": (_HEADER.replace("\n", "\r\n"), True),
+    "header-only-no-newline": (_HEADER.strip(), True),
+    "negative-valuation": (_HEADER + "5,7,6,1,2:-1\n", True),
+    "empty-file": ("", False),
+    "foreign-header": ("a,b\n1,2\n", False),
+    "blank-line": (_HEADER + "5,3,2,0,\n\n5,7,6,0,\n", False),
+    "four-fields": (_HEADER + "5,3,2,0,\n5,7,6,0\n", False),
+    "six-fields": (_HEADER + "5,3,2,0,\n5,7,6,1,2:1,x\n", False),
+    "index-above-hits": (_HEADER + "5,7,6,2,2:1\n", False),
+    "index-below-hits": (_HEADER + "5,7,6,1,2:1;4:1\n", False),
+    "hits-at-index-0": (_HEADER + "5,7,6,0,2:1\n", False),
+    "non-integer-d": (_HEADER + "x,3,2,0,\n", False),
+    "non-integer-delta": (_HEADER + "5,3,2.0,0,\n", False),
+    "non-integer-index": (_HEADER + "5,3,2,one,\n", False),
+    "non-integer-hit": (_HEADER + "5,7,6,1,2:a\n", False),
+    "hit-2": (_HEADER + "5,7,6,1,2\n", False),
+    "hit-2:1:3": (_HEADER + "5,7,6,1,2:1:3\n", False),
+    "hit-2:1;;4:1": (_HEADER + "5,7,6,2,2:1;;4:1\n", False),
+    "hit-2:1;;4:1-index-3": (_HEADER + "5,7,6,3,2:1;;4:1\n", False),
+    "hit-:1": (_HEADER + "5,7,6,1,:1\n", False),
+    "duplicate": (_HEADER + "5,3,2,0,\n5,3,2,0,\n", False),
+    "out-of-order": (_HEADER + "5,7,6,0,\n5,3,2,0,\n", False),
+    "out-of-order-d": (_HEADER + "8,3,2,0,\n5,7,6,0,\n", False),
+}
+
+
+@pytest.mark.parametrize("name", list(_CORPUS))
+def test_reader_agrees_with_the_csv_oracle(tmp_path, name):
+    # where the oracle reads records, the reader reads the same ones; where
+    # it raises, the reader raises ValueError naming the file
+    text, accepted = _CORPUS[name]
+    path = tmp_path / "shard.csv"
+    path.write_bytes(text.encode())
+    if accepted:
+        assert read_index_shard(path).records() == _oracle_read(path)
+    else:
+        with pytest.raises(ValueError):
+            _oracle_read(path)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_index_shard(path)
 
 
 def test_index_shard_rejects_foreign_csv(tmp_path):
@@ -114,10 +217,10 @@ def test_load_records_requires_completion(tmp_path):
     write_manifest(tmp_path, manifest)
     with pytest.raises(IncompleteScanError):
         load_records(tmp_path)
-    assert load_records(tmp_path, allow_partial=True) == []
+    assert len(load_records(tmp_path, allow_partial=True)) == 0
     manifest.shards[0].complete = True
     write_manifest(tmp_path, manifest)
-    assert load_records(tmp_path) == _records()
+    assert load_records(tmp_path).records() == _records()
 
 
 def test_load_records_checks_digest(tmp_path):
