@@ -148,6 +148,7 @@ _CORPUS = {
     "hit-2:1;;4:1": (_HEADER + "5,7,6,2,2:1;;4:1\n", False),
     "hit-2:1;;4:1-index-3": (_HEADER + "5,7,6,3,2:1;;4:1\n", False),
     "hit-:1": (_HEADER + "5,7,6,1,:1\n", False),
+    "hit-2;1:4:1": (_HEADER + "5,7,6,2,2;1:4:1\n", False),  # four integers, wrongly joined
     "duplicate": (_HEADER + "5,3,2,0,\n5,3,2,0,\n", False),
     "out-of-order": (_HEADER + "5,7,6,0,\n5,3,2,0,\n", False),
     "out-of-order-d": (_HEADER + "8,3,2,0,\n5,7,6,0,\n", False),
