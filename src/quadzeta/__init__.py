@@ -13,13 +13,11 @@ from .bernoulli import (
 from .irregularity import (
     IndexColumns,
     IndexRecord,
-    IrregularPair,
     chi_irregularity_index,
     classical_irregularity_index,
     d_irregularity_index,
     delta,
     high_valuation_survey,
-    irregular_pairs,
     scan_fixed_discriminant,
     scan_fixed_primes,
 )
@@ -63,7 +61,6 @@ __all__ = [
     "DistributionTable",
     "IndexColumns",
     "IndexRecord",
-    "IrregularPair",
     "SigmaTable",
     "UniformityReport",
     "aggregate_across_discriminants",
@@ -80,7 +77,6 @@ __all__ = [
     "generalized_bernoulli_exact",
     "generalized_bernoulli_mod",
     "high_valuation_survey",
-    "irregular_pairs",
     "is_fundamental_discriminant",
     "kronecker_symbol",
     "l_chi_exact",

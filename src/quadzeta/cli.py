@@ -291,7 +291,7 @@ def cmd_report(args) -> int:
     if args.table == "1":
         records = _load(args)
         if args.pmax_cutoff:
-            records = records.select(records.prime < args.pmax_cutoff)
+            records = records.take(np.flatnonzero(records.prime < args.pmax_cutoff))
         table = stats.build_distribution(records, prediction="limit")
         _emit_distribution(table, fmt)
     elif args.table == "2":
@@ -313,8 +313,7 @@ def cmd_report(args) -> int:
         _emit_distribution(table, fmt)
     elif args.table == "ratios":
         records = _load(args)
-        pairs = irregularity.irregular_pairs(records)
-        report = stats.ratio_uniformity_report(pairs, bins=10 if args.bins is None else args.bins)
+        report = stats.ratio_uniformity_report(records, bins=10 if args.bins is None else args.bins)
         payload = {
             "count": report.count,
             "bins": report.bins,
@@ -358,9 +357,8 @@ def cmd_survey(args) -> int:
     count = int((records.index == top_index).sum())
     print(f"largest index {top_index}, count {count}")
     if args.pairs_out:
-        pairs = irregularity.irregular_pairs(records)
-        shards.write_pairs_csv(Path(args.pairs_out), pairs)
-        print(f"wrote {len(pairs)} pairs to {args.pairs_out}")
+        shards.write_pairs_csv(Path(args.pairs_out), records)
+        print(f"wrote {len(records.two_m)} pairs to {args.pairs_out}")
     return EXIT_OK
 
 

@@ -21,14 +21,15 @@ discriminants at once, and the Bernoulli numbers B_n.  v_p(L(1-n, chi_D))
 is v_p(N(n)) - v_p(D), v_p(zeta_D(1-n)) adds v_p(B_n), and one reader
 (_valuations) takes every valuation off the residues; only a residue that
 is exactly 0 is recomputed at a deeper prime power.  One threshold step
-(_records) turns valuations into hits over the test range.  The
-exact-rational loops (_exact_hits) remain as test oracles.
+(_records) turns valuations into the hit columns of an IndexColumns, the
+one form every scan returns.  The exact-rational loops (_exact_hits)
+remain as test oracles.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from itertools import islice
@@ -83,23 +84,15 @@ class IndexRecord:
         return len(self.hits)
 
 
-@dataclass(frozen=True, slots=True)
-class IrregularPair:
-    prime: int
-    two_m: int
-    discriminant: int | None
-    valuation: int
-
-
 @dataclass(frozen=True, eq=False)
 class IndexColumns:
     """chi-index records as int64 columns, one row per (D, p).
 
     Row i's hits are (two_m[j], valuation[j]) for j in
     [hit_offsets[i], hit_offsets[i + 1]); hit_offsets (len(self) + 1
-    entries) follows from the index column, each row's hit count.  Shards
-    are read into this form and the reports read it; records() gives the
-    per-record view.
+    entries) follows from the index column, each row's hit count.  Scans
+    return this form, shards are written from it and read into it, and the
+    reports read it; iterating gives the per-row IndexRecord view.
     """
 
     discriminant: np.ndarray
@@ -118,14 +111,17 @@ class IndexColumns:
     def __len__(self) -> int:
         return len(self.index)
 
-    def records(self) -> list[IndexRecord]:
+    def __iter__(self) -> Iterator[IndexRecord]:
         """The rows as chi-index IndexRecords, built on demand."""
         hits = iter(zip(self.two_m.tolist(), self.valuation.tolist()))
-        return [
-            IndexRecord(d, p, b, "chi", tuple(islice(hits, k)))
-            for d, p, b, k in zip(self.discriminant.tolist(), self.prime.tolist(),
-                                  self.delta.tolist(), self.index.tolist())
-        ]
+        for d, p, b, k in zip(self.discriminant.tolist(), self.prime.tolist(),
+                              self.delta.tolist(), self.index.tolist()):
+            yield IndexRecord(d, p, b, "chi", tuple(islice(hits, k)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IndexColumns):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS)
 
     @classmethod
     def from_records(cls, records: Sequence[IndexRecord]) -> IndexColumns:
@@ -146,11 +142,14 @@ class IndexColumns:
         return cls(*(np.concatenate([getattr(part, name) for part in parts])
                      for name in _COLUMNS))
 
-    def select(self, rows: np.ndarray) -> IndexColumns:
-        """The rows where the boolean mask rows is set, with their hits."""
-        hits = self.hit_rows(rows)
-        return IndexColumns(self.discriminant[rows], self.prime[rows], self.delta[rows],
-                            self.index[rows], self.two_m[hits], self.valuation[hits])
+    def take(self, rows: np.ndarray) -> IndexColumns:
+        """The rows numbered in rows, in that order, each with its hits."""
+        index = self.index[rows]
+        # hit j of the result, in output row i, is hit j + shift[i] of self
+        shift = self.hit_offsets[rows] - (np.cumsum(index) - index)
+        hits = np.arange(index.sum()) + np.repeat(shift, index)
+        return IndexColumns(self.discriminant[rows], self.prime[rows], self.delta[rows], index,
+                            self.two_m[hits], self.valuation[hits])
 
     def hit_rows(self, column: np.ndarray) -> np.ndarray:
         """column repeated once per hit of its row: each hit's row value."""
@@ -161,18 +160,10 @@ _COLUMNS = ("discriminant", "prime", "delta", "index", "two_m", "valuation")
 
 
 def as_columns(records: IndexColumns | Iterable[IndexRecord]) -> IndexColumns:
-    """IndexColumns as given; records (chi records, as a scan returns them)
-    converted once."""
+    """IndexColumns as given; a list of chi records converted once."""
     if isinstance(records, IndexColumns):
         return records
     return IndexColumns.from_records(list(records))
-
-
-def irregular_pairs(records: IndexColumns | Iterable[IndexRecord]) -> list[IrregularPair]:
-    """Flatten hit lists into (p, 2m, D, valuation) tuples, record order."""
-    cols = as_columns(records)
-    return list(map(IrregularPair, cols.hit_rows(cols.prime).tolist(), cols.two_m.tolist(),
-                    cols.hit_rows(cols.discriminant).tolist(), cols.valuation.tolist()))
 
 
 def _delta(d, p: int):
@@ -257,10 +248,9 @@ def _bernoulli_valuations(p: int) -> np.ndarray:
     return _valuations(residues, p, e, lambda h, depth: bernoulli_residues_mod(p, p**depth)[2 * h + 2])
 
 
-def _records(
-    kind: str, valuation: np.ndarray, discs: Sequence[int], p: int, strict: bool = False
-) -> list[IndexRecord]:
-    """One record per discriminant, from valuation[i, h] = v_p of its value at 2m = 2h + 2.
+def _records(valuation: np.ndarray, discs: Sequence[int], p: int,
+             strict: bool = False) -> IndexColumns:
+    """One row per discriminant, from valuation[i, h] = v_p of its value at 2m = 2h + 2.
 
     The columns run up to 2m = p - 1; a row's test range ends at
     delta(D, p), and for D = p the value tested there is p times the value,
@@ -268,15 +258,13 @@ def _records(
     valuation other than 0.
     """
     d_arr = np.asarray(discs, dtype=np.int64)
-    bound = _delta(d_arr, p)[:, None]
+    bound = _delta(d_arr, p)
     two_m = np.arange(2, p, 2)
-    valuation = valuation + ((d_arr == p)[:, None] & (two_m == bound))
-    found = (two_m <= bound) & ((valuation >= 1) | (strict & (valuation != 0)))
-    hits: list[list[tuple[int, int]]] = [[] for _ in discs]
-    rows, cols = np.nonzero(found)
-    for i, h, v in zip(rows.tolist(), cols.tolist(), valuation[found].tolist()):
-        hits[i].append((2 * h + 2, v))
-    return [IndexRecord(d, p, b, kind, tuple(h)) for d, b, h in zip(discs, bound[:, 0].tolist(), hits)]
+    valuation = valuation + ((d_arr == p)[:, None] & (two_m == bound[:, None]))
+    found = (two_m <= bound[:, None]) & ((valuation >= 1) | (strict & (valuation != 0)))
+    return IndexColumns(d_arr, np.full(len(d_arr), p, dtype=np.int64), bound,
+                        np.count_nonzero(found, axis=1), two_m[np.nonzero(found)[1]],
+                        valuation[found])
 
 
 def _exact_hits(
@@ -308,7 +296,7 @@ def chi_irregularity_index(d: int, p: int, strict: bool = False) -> IndexRecord:
     """
     delta(d, p)  # validates D and p
     valuation = _chi_valuations(character_values(d)[None], [d], p)
-    return _records("chi", valuation, [d], p, strict)[0]
+    return next(iter(_records(valuation, [d], p, strict)))
 
 
 def d_irregularity_index(d: int, p: int, strict: bool = False) -> IndexRecord:
@@ -322,7 +310,7 @@ def d_irregularity_index(d: int, p: int, strict: bool = False) -> IndexRecord:
     delta(d, p)  # validates D and p
     riemann = np.append(_bernoulli_valuations(p), 0)
     valuation = _chi_valuations(character_values(d)[None], [d], p) + riemann
-    return _records("d", valuation, [d], p, strict)[0]
+    return replace(next(iter(_records(valuation, [d], p, strict))), kind="d")
 
 
 def classical_irregularity_index(p: int) -> IndexRecord:
@@ -349,24 +337,30 @@ def _block_ranges(lo: int, hi: int, size: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def compute_fixed_disc_block(d: int, p_lo: int, p_hi: int) -> list[IndexRecord]:
-    """chi-index records for all odd primes in [p_lo, p_hi), fixed D."""
+def compute_fixed_disc_block(d: int, p_lo: int, p_hi: int) -> IndexColumns:
+    """chi-index rows for all odd primes in [p_lo, p_hi), fixed D."""
     table = character_values(d)[None]
     primes = [p for p in odd_primes_up_to(p_hi) if p >= p_lo]
-    return [_records("chi", _chi_valuations(table, [d], p), [d], p)[0] for p in primes]
+    return IndexColumns.concatenate(
+        [_records(_chi_valuations(table, [d], p), [d], p) for p in primes])
 
 
-def compute_grid_block(d_lo: int, d_hi: int, primes: tuple[int, ...]) -> list[IndexRecord]:
-    """chi-index records for every fundamental D in [d_lo, d_hi) x given primes."""
+def _by_pair(parts: Sequence[IndexColumns]) -> IndexColumns:
+    """The rows of parts, ordered by (D, p)."""
+    cols = IndexColumns.concatenate(parts)
+    return cols.take(np.lexsort((cols.prime, cols.discriminant)))
+
+
+def compute_grid_block(d_lo: int, d_hi: int, primes: tuple[int, ...]) -> IndexColumns:
+    """chi-index rows for every fundamental D in [d_lo, d_hi) x given primes."""
     discs = enumerate_fundamental_discriminants(d_lo, d_hi)
-    records = []
+    parts = []
     step = max(1, _TABLE_ENTRIES // d_hi)
     for lo in range(0, len(discs), step):
         group = discs[lo : lo + step]
         table = _period_table(group)
-        by_prime = [_records("chi", _chi_valuations(table, group, p), group, p) for p in primes]
-        records.extend(rec for row in zip(*by_prime) for rec in row)
-    return records
+        parts.extend(_records(_chi_valuations(table, group, p), group, p) for p in primes)
+    return _by_pair(parts)
 
 
 def _exact_divisor_sum(d: int, sigma: SigmaTable) -> int:
@@ -389,8 +383,8 @@ def compute_table3_block(
     primes: tuple[int, ...],
     sigma1: SigmaTable,
     sigma3: SigmaTable | None = None,
-) -> list[IndexRecord]:
-    """Records over [d_lo, d_hi) via the divisor-sum route; primes lie within {3, 5}.
+) -> IndexColumns:
+    """Rows over [d_lo, d_hi) via the divisor-sum route; primes lie within {3, 5}.
 
     Needs only v_3 and v_5 of the two divisor sums: with S_k(D) denoting
     sum_b sigma_k((D-b^2)/4), the tested values are L(-1) = -S_1(D)/5 and,
@@ -407,8 +401,8 @@ def compute_table3_block(
             # v_5(S_1)), and v_5(L(-3)) = v_5(S_3)
             _, v_s3 = _divisor_sum_valuations(2, d_lo, d_hi, sigma3, 5)
             valuation = np.stack([v_s1 - 1, v_s3], axis=1)
-        by_prime.append(_records("chi", valuation, discs, p))
-    return [rec for row in zip(*by_prime) for rec in row]
+        by_prime.append(_records(valuation, discs, p))
+    return _by_pair(by_prime)
 
 
 @dataclass(frozen=True)
@@ -418,18 +412,18 @@ class ScanPlan:
 
     The blocks partition the scan range at multiples of a fixed size, so
     they do not depend on the worker count; task(lo, hi) returns one
-    block's records, ordered by (D, p).
+    block's rows, ordered by (D, p).
     """
 
     kind: str
     params: dict[str, str]
     blocks: list[tuple[int, int]]
-    task: Callable[[int, int], list[IndexRecord]]
+    task: Callable[[int, int], IndexColumns]
 
     def run(
         self, workers: int = 1, blocks: Sequence[tuple[int, int]] | None = None
-    ) -> Iterator[list[IndexRecord]]:
-        """Records of each block (all of them by default), in block order
+    ) -> Iterator[IndexColumns]:
+        """The rows of each block (all of them by default), in block order
         whatever the worker count."""
         blocks = self.blocks if blocks is None else blocks
         if workers <= 1 or len(blocks) <= 1:
@@ -445,15 +439,15 @@ class ScanPlan:
             yield from pool.imap(_run_block, blocks)
 
 
-_worker_task: Callable[[int, int], list[IndexRecord]] | None = None  # set in pool workers
+_worker_task: Callable[[int, int], IndexColumns] | None = None  # set in pool workers
 
 
-def _pool_init(task: Callable[[int, int], list[IndexRecord]]) -> None:
+def _pool_init(task: Callable[[int, int], IndexColumns]) -> None:
     global _worker_task
     _worker_task = task
 
 
-def _run_block(block: tuple[int, int]) -> list[IndexRecord]:
+def _run_block(block: tuple[int, int]) -> IndexColumns:
     return _worker_task(*block)
 
 
@@ -478,7 +472,8 @@ def scan_plan(kind: str, **given) -> ScanPlan:
                 gate and builds the sigma tables the blocks share.
 
     A parameter given as None counts as absent; a missing or foreign one
-    raises ValueError.  The plan's params are the parameters as strings.
+    raises ValueError, as does a scan range with no block.  The plan's
+    params are the parameters as strings.
     """
     if kind not in _SCAN_PARAMS:
         raise ValueError(f"unknown scan kind {kind!r}")
@@ -499,42 +494,43 @@ def scan_plan(kind: str, **given) -> ScanPlan:
         key: ",".join(map(str, value)) if key == "primes" else str(value)
         for key, value in given.items()
     }
-    d_lo = max(given.get("dmin", 2), 2)
     if kind == "fixed-disc":
-        disc, pmax = validate_fundamental_discriminant(given["disc"]), given["pmax"]
-        if pmax < 3:
-            raise ValueError("pmax must be at least 3")
-        blocks = _block_ranges(3, pmax, PRIME_BLOCK)
+        disc = validate_fundamental_discriminant(given["disc"])
+        key, lo, hi, size = "p", 3, given["pmax"], PRIME_BLOCK
+    else:
+        primes = given["primes"] if "primes" in given else tuple(odd_primes_up_to(given["pmax"]))
+        if kind == "grid":
+            for p in primes:
+                validate_odd_prime(p)
+        elif not set(primes) <= {3, 5}:
+            raise ValueError("the million scan supports the primes 3 and 5 only")
+        key, lo, hi = "D", max(given.get("dmin", 2), 2), given["dmax"]
+        size = GRID_BLOCK if kind == "grid" else MILLION_BLOCK
+    blocks = _block_ranges(lo, hi, size)
+    if not blocks:  # before the million plan's gate and sieves
+        raise ValueError(f"{kind} scan range is empty: no {key} at least {lo} and below {hi}")
+    if kind == "fixed-disc":
         task = partial(compute_fixed_disc_block, disc)
     elif kind == "grid":
-        primes = given["primes"] if "primes" in given else tuple(odd_primes_up_to(given["pmax"]))
-        for p in primes:
-            validate_odd_prime(p)
-        blocks = _block_ranges(d_lo, given["dmax"], GRID_BLOCK)
         task = partial(compute_grid_block, primes=primes)
     else:
-        primes, dmax = given["primes"], given["dmax"]
-        if not set(primes) <= {3, 5}:
-            raise ValueError("the million scan supports the primes 3 and 5 only")
         validate_siegel_gate()
-        limit = max((dmax - 1) // 4, 1)
+        limit = max((hi - 1) // 4, 1)
         sigma1 = divisor_sigma_sieve(1, limit)
         sigma3 = divisor_sigma_sieve(3, limit) if 5 in primes else None
-        blocks = _block_ranges(d_lo, dmax, MILLION_BLOCK)
         task = partial(compute_table3_block, primes=primes, sigma1=sigma1, sigma3=sigma3)
     return ScanPlan(kind, params, blocks, task)
 
 
-def scan_fixed_discriminant(d: int, p_max: int, workers: int = 1) -> list[IndexRecord]:
-    """chi-index records for all odd primes p < p_max, ascending."""
-    plan = scan_plan("fixed-disc", disc=d, pmax=p_max)
-    return [rec for block in plan.run(workers) for rec in block]
+def scan_fixed_discriminant(d: int, p_max: int, workers: int = 1) -> IndexColumns:
+    """chi-index rows for all odd primes p < p_max, ascending."""
+    return IndexColumns.concatenate(list(scan_plan("fixed-disc", disc=d, pmax=p_max).run(workers)))
 
 
 def scan_fixed_primes(
     d_lo: int, d_hi: int, primes: Iterable[int], workers: int = 1
-) -> list[IndexRecord]:
-    """One chi-index record per (D, p), ordered by (D, p); deterministic.
+) -> IndexColumns:
+    """One chi-index row per (D, p), ordered by (D, p); deterministic.
 
     Primes within {3, 5} take the divisor-sum route of the million scan,
     any other set the Bernoulli kernels of the grid scan; the two routes
@@ -543,7 +539,7 @@ def scan_fixed_primes(
     primes = tuple(primes)
     kind = "million" if set(primes) <= {3, 5} else "grid"
     plan = scan_plan(kind, dmin=d_lo, dmax=d_hi, primes=primes)
-    return [rec for block in plan.run(workers) for rec in block]
+    return IndexColumns.concatenate(list(plan.run(workers)))
 
 
 def high_valuation_survey(

@@ -8,23 +8,24 @@ where hits is a semicolon-joined list of 2m:valuation pairs, empty for
 index 0.  Irregular pairs use the schema p,two_m,D,valuation.  Shards are
 written atomically (temp file then rename) so an interrupted scan never
 leaves a truncated shard behind; the manifest records one shard per line
-with its digest and completion flag.  Shards are written from IndexRecord
-lists and read back as IndexColumns: the reader validates whole columns
-at once, and load_records joins the shards of a scan into one IndexColumns.
+with its digest and completion flag.  Shards are written from IndexColumns,
+as the block kernels return them, and read back as IndexColumns: the
+reader validates whole columns at once, and load_records joins the shards
+of a scan into one IndexColumns.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import os
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .irregularity import IndexColumns, IndexRecord, IrregularPair
+from .irregularity import IndexColumns, IndexRecord, as_columns
 
 INDEX_HEADER = ["D", "p", "delta", "index", "hits"]
 PAIR_HEADER = ["p", "two_m", "D", "valuation"]
@@ -46,17 +47,19 @@ def _atomic_write(path: Path, write_body) -> None:
     os.replace(tmp, path)
 
 
-def write_index_shard(path: Path, records: Iterable[IndexRecord]) -> None:
+def write_index_shard(path: Path, records: IndexColumns | Iterable[IndexRecord]) -> None:
     """Write the bytes csv.writer would (no field needs quoting, and every
-    row ends in CRLF), formatted as one string; most rows have no hits, so
-    format_hits runs only on those that do."""
+    row ends in CRLF), formatted from the columns as one string; most rows
+    have no hits, so the hits field is joined only on those that do."""
+    cols = as_columns(records)
+    hits = iter([f"{m}:{v}" for m, v in zip(cols.two_m.tolist(), cols.valuation.tolist())])
 
     def body(fh):
         fh.write(",".join(INDEX_HEADER) + "\r\n")
         fh.write("".join(
-            f"{r.discriminant},{r.prime},{r.delta},{len(r.hits)},"
-            f"{format_hits(r.hits) if r.hits else ''}\r\n"
-            for r in records
+            f"{d},{p},{b},{k},{';'.join(islice(hits, k)) if k else ''}\r\n"
+            for d, p, b, k in zip(cols.discriminant.tolist(), cols.prime.tolist(),
+                                  cols.delta.tolist(), cols.index.tolist())
         ))
 
     _atomic_write(path, body)
@@ -135,12 +138,14 @@ def _parse_hits(path: Path, buf: np.ndarray, ends: np.ndarray, index: np.ndarray
     return values[:, 0].copy(), values[:, 1].copy()
 
 
-def write_pairs_csv(path: Path, pairs: Iterable[IrregularPair]) -> None:
+def write_pairs_csv(path: Path, cols: IndexColumns) -> None:
+    """One p,two_m,D,valuation row per hit, in row and hit order, ending in CRLF."""
+    rows = zip(cols.hit_rows(cols.prime).tolist(), cols.two_m.tolist(),
+               cols.hit_rows(cols.discriminant).tolist(), cols.valuation.tolist())
+
     def body(fh):
-        writer = csv.writer(fh)
-        writer.writerow(PAIR_HEADER)
-        for pair in pairs:
-            writer.writerow([pair.prime, pair.two_m, pair.discriminant, pair.valuation])
+        fh.write(",".join(PAIR_HEADER) + "\r\n")
+        fh.write("".join(f"{p},{m},{d},{v}\r\n" for p, m, d, v in rows))
 
     _atomic_write(path, body)
 

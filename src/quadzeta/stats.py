@@ -14,9 +14,11 @@ The chi-squared statistic defaults to the grouping {0}, {1}, {2}, {>=3}
 singleton categories.  Significance is the upper-tail probability of the
 chi-squared distribution, Q(df/2, x/2).
 
-The index statistics read IndexColumns (np.bincount on the index column,
-counts per prime, distinct discriminants); a list of IndexRecord enters
-through irregularity.as_columns.  Expected counts stay exact Fraction sums.
+The index statistics and the 2m/p ratio report read IndexColumns
+(np.bincount on the index column, counts per prime, distinct
+discriminants, the hits' two_m over their rows' primes); a list of
+IndexRecord enters through irregularity.as_columns.  Expected counts stay
+exact Fraction sums.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .irregularity import IndexColumns, IndexRecord, IrregularPair, as_columns
+from .irregularity import IndexColumns, IndexRecord, as_columns
 
 
 def limit_fraction(r: int) -> float:
@@ -318,20 +320,22 @@ class UniformityReport:
     ks_statistic: float
 
 
-def ratio_uniformity_report(pairs: Sequence[IrregularPair], bins: int = 10) -> UniformityReport:
-    """Equal-width-bin chi-squared and Kolmogorov-Smirnov distance for 2m/p."""
+def ratio_uniformity_report(
+    records: IndexColumns | Iterable[IndexRecord], bins: int = 10
+) -> UniformityReport:
+    """Equal-width-bin chi-squared and Kolmogorov-Smirnov distance for each hit's 2m/p."""
     if bins < 2:
         raise ValueError("need at least two bins")
-    if not pairs:
+    cols = as_columns(records)
+    if not len(cols.two_m):
         raise ValueError("no irregular pairs supplied")
-    values = sorted(pair.two_m / pair.prime for pair in pairs)
+    values = np.sort(cols.two_m / cols.hit_rows(cols.prime))
     n = len(values)
-    hist = [0] * bins
-    for v in values:
-        hist[min(int(v * bins), bins - 1)] += 1
+    hist = np.bincount(np.minimum((values * bins).astype(np.int64), bins - 1), minlength=bins)
+    hist = hist.tolist()
     stat = _chi_squared(hist, [n / bins] * bins)
-    d_plus = max((i + 1) / n - v for i, v in enumerate(values))
-    d_minus = max(v - i / n for i, v in enumerate(values))
+    d_plus = np.max(np.arange(1, n + 1) / n - values)
+    d_minus = np.max(values - np.arange(n) / n)
     return UniformityReport(
         count=n,
         bins=bins,
@@ -339,7 +343,7 @@ def ratio_uniformity_report(pairs: Sequence[IrregularPair], bins: int = 10) -> U
         chi_squared=stat,
         df=bins - 1,
         significance=significance(stat, bins - 1),
-        ks_statistic=max(d_plus, d_minus),
+        ks_statistic=float(max(d_plus, d_minus)),
     )
 
 

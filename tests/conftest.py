@@ -30,17 +30,17 @@ def scan_dirs(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def table1_records(scan_dirs):
-    return shards.load_records(scan_dirs["table1"]).records()
+    return shards.load_records(scan_dirs["table1"])
 
 
 @pytest.fixture(scope="session")
 def table2_records(scan_dirs):
-    return shards.load_records(scan_dirs["table2"]).records()
+    return shards.load_records(scan_dirs["table2"])
 
 
 @pytest.fixture(scope="session")
 def table3_records(scan_dirs):
-    return shards.load_records(scan_dirs["table3"]).records()
+    return shards.load_records(scan_dirs["table3"])
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -335,6 +335,10 @@ def test_report_table1_and_residue_classes(capsys, small_fixed):
                      id="grid-without-dmax"),
         pytest.param(["scan", "--kind", "million", "--dmax", "100", "--pmax", "7", "--out", "{out}"],
                      id="million-with-pmax"),
+        pytest.param(["scan", "--kind", "grid", "--dmax", "2", "--pmax", "10", "--out", "{out}"],
+                     id="grid-empty-range"),
+        pytest.param(["scan", "--kind", "fixed-disc", "--disc", "5", "--pmax", "3", "--out",
+                      "{out}"], id="fixed-disc-empty-range"),
         pytest.param(["survey", "--input", "{scan}", "--primes", "9"], id="survey-not-prime"),
     ],
 )
@@ -429,6 +433,15 @@ def test_partial_report_without_a_complete_shard(capsys, tmp_path, small_grid, t
     code, out, _ = run(capsys, "report", "--input", str(tmp_path), "--table", table,
                        "--allow-partial", "--format", fmt)
     assert code == 0 and _sha256(out) == digest, out
+
+
+def test_table1_cutoff_below_every_prime_is_the_empty_table(capsys, small_fixed):
+    # --pmax-cutoff 3 keeps no row: the table of a scan without records
+    capsys.readouterr()  # a fixture made here prints its scan summary
+    code, out, _ = run(capsys, "report", "--input", str(small_fixed), "--table", "1",
+                       "--pmax-cutoff", "3")
+    assert code == 0
+    assert _sha256(out) == "6220df185102de1fad191bd3263d3d64603569a464623681b64a44733fa18f6c"
 
 
 def test_survey_command(capsys, small_fixed, tmp_path):

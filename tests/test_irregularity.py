@@ -1,6 +1,7 @@
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,8 @@ import quadzeta
 from quadzeta import irregularity
 from quadzeta.bernoulli import bernoulli_exact
 from quadzeta.irregularity import (
+    IndexColumns,
+    IndexRecord,
     _block_ranges,
     _chi_hits_exact,
     _exact_hits,
@@ -20,7 +23,6 @@ from quadzeta.irregularity import (
     d_irregularity_index,
     delta,
     high_valuation_survey,
-    irregular_pairs,
     scan_fixed_discriminant,
     scan_fixed_primes,
 )
@@ -251,10 +253,11 @@ def test_high_valuation_survey():
 
 
 def test_irregular_pairs_flattening():
-    recs = [chi_irregularity_index(24, 3), chi_irregularity_index(13, 3)]
-    pairs = irregular_pairs(recs)
+    cols = IndexColumns.from_records([chi_irregularity_index(24, 3), chi_irregularity_index(13, 3)])
+    pairs = list(zip(cols.hit_rows(cols.prime).tolist(), cols.two_m.tolist(),
+                     cols.hit_rows(cols.discriminant).tolist(), cols.valuation.tolist()))
     assert len(pairs) == 1
-    assert (pairs[0].prime, pairs[0].two_m, pairs[0].discriminant, pairs[0].valuation) == (3, 2, 24, 1)
+    assert pairs[0] == (3, 2, 24, 1)
 
 
 def test_deep_valuation_refinement():
@@ -278,3 +281,60 @@ def test_no_production_path_calls_an_exact_oracle():
                         if callee in oracles:
                             calls.append((func.name, callee))
     assert calls == [("_chi_hits_exact", "_exact_hits")]
+
+
+def test_only_the_row_view_and_single_pair_indices_build_records():
+    # scans and blocks stay columnar: IndexRecord is built one row at a time
+    # only when asked for, by iterating IndexColumns or by a single-pair index
+    callers = []
+    for path in sorted(Path(quadzeta.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for func in ast.walk(tree):  # breadth first: inner functions overwrite outer ones
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "IndexRecord":
+                callers.append((path.name, owner.get(node)))
+    assert sorted(callers) == [("irregularity.py", "__iter__"),
+                                ("irregularity.py", "classical_irregularity_index")]
+
+
+def test_take_gathers_rows_with_their_hits():
+    records = [
+        IndexRecord(5, 3, 2, "chi", ()),
+        IndexRecord(5, 7, 6, "chi", ((2, 1), (4, 2))),
+        IndexRecord(8, 3, 2, "chi", ((2, 1),)),
+        IndexRecord(8, 7, 6, "chi", ((6, 3),)),
+    ]
+    cols = IndexColumns.from_records(records)
+    assert list(cols.take(np.array([3, 1, 0, 2]))) == [records[i] for i in (3, 1, 0, 2)]
+    assert list(cols.take(np.array([1, 1]))) == [records[1]] * 2
+    empty = cols.take(np.array([], dtype=np.int64))
+    assert empty == IndexColumns.from_records([]) and len(empty.hit_offsets) == 1
+
+
+def test_columns_compare_equal_only_when_every_column_does():
+    # the kernel comparisons across routes and worker counts rest on this
+    records = [IndexRecord(5, 7, 6, "chi", ((2, 1), (4, 2))), IndexRecord(8, 3, 2, "chi", ())]
+    cols = IndexColumns.from_records(records)
+    assert cols == IndexColumns.from_records(list(cols)) and cols != records
+    for changed in (IndexRecord(5, 7, 6, "chi", ((2, 1), (4, 3))),
+                    IndexRecord(5, 7, 6, "chi", ((2, 1), (6, 2))),
+                    IndexRecord(5, 7, 8, "chi", ((2, 1), (4, 2))),
+                    IndexRecord(5, 11, 6, "chi", ((2, 1), (4, 2))),
+                    IndexRecord(13, 7, 6, "chi", ((2, 1), (4, 2))),
+                    IndexRecord(5, 7, 6, "chi", ((2, 1),))):
+        assert cols != IndexColumns.from_records([changed, records[1]]), changed
+    assert cols != cols.take(np.array([0]))
+
+
+def test_grid_block_in_several_row_groups(monkeypatch):
+    # a small table budget splits the block into row groups, each computed
+    # for every prime; the rows come back in (D, p) order
+    monkeypatch.setattr(irregularity, "_TABLE_ENTRIES", 20 * 400)
+    primes = (3, 5, 13)
+    block = compute_grid_block(100, 400, primes)
+    discs = enumerate_fundamental_discriminants(100, 400)
+    assert len(discs) > 20
+    assert list(block) == [chi_irregularity_index(d, p) for d in discs for p in primes]

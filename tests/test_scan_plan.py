@@ -45,7 +45,7 @@ def test_divisor_sum_route_equals_grid_route():
 def test_library_scan_equals_cli_shards(tmp_path, argv, library):
     assert main(["scan", *argv, "--out", str(tmp_path), "--workers", "2"]) == 0
     assert len(read_manifest(tmp_path).shards) > 1
-    assert load_records(tmp_path).records() == library()
+    assert load_records(tmp_path) == library()
 
 
 def test_plan_params_identify_the_cli_scans():
@@ -87,11 +87,27 @@ def test_pool_has_no_more_workers_than_blocks(monkeypatch):
         ("fixed-disc", {"disc": 5, "pmax": 100, "dmin": 3}, "fixed-disc scan takes no dmin"),
         ("grid", {"dmax": 100}, "exactly one of pmax and primes"),
         ("grid", {"dmax": 100, "pmax": 20, "primes": [3]}, "exactly one of pmax and primes"),
+        ("fixed-disc", {"disc": 5, "pmax": 3}, "empty: no p at least 3 and below 3"),
+        ("grid", {"dmax": 2, "pmax": 10}, "empty: no D at least 2 and below 2"),
+        ("grid", {"dmin": 500, "dmax": 400, "primes": [3]}, "empty: no D at least 500 and below 400"),
+        ("million", {"dmax": 2}, "empty: no D at least 2 and below 2"),
     ],
 )
 def test_plan_validation(kind, params, problem):
     with pytest.raises(ValueError, match=problem):
         scan_plan(kind, **params)
+
+
+def test_empty_million_range_is_refused_before_the_gate(monkeypatch):
+    import quadzeta.irregularity as irregularity
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("planning an empty scan ran the gate or a sieve")
+
+    monkeypatch.setattr(irregularity, "validate_siegel_gate", unreachable)
+    monkeypatch.setattr(irregularity, "divisor_sigma_sieve", unreachable)
+    with pytest.raises(ValueError, match="is empty"):
+        scan_plan("million", dmin=30000, dmax=20000)
 
 
 def test_cli_uses_no_private_irregularity_name():

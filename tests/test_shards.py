@@ -1,4 +1,5 @@
 import csv
+import io
 import re
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from quadzeta.cli import main
-from quadzeta.irregularity import IndexColumns, IndexRecord, IrregularPair
+from quadzeta.irregularity import IndexColumns, IndexRecord
 from quadzeta.shards import (
     INDEX_HEADER,
     IncompleteScanError,
@@ -109,13 +110,21 @@ def test_index_shard_round_trip(tmp_path, records):
     path = tmp_path / "shard.csv"
     write_index_shard(path, records)
     columns = read_index_shard(path)
-    assert columns.records() == records == _oracle_read(path)
+    assert list(columns) == records == _oracle_read(path)
     assert _same_columns(columns, IndexColumns.from_records(records))
     assert len(columns) == len(records) and len(columns.hit_offsets) == len(records) + 1
     header = path.read_text().splitlines()[0]
     assert header == "D,p,delta,index,hits"
     for rec in records:
         assert _oracle_hits(format_hits(rec.hits)) == rec.hits
+    # the writer's contract: the bytes csv.writer writes for the same rows
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(INDEX_HEADER)
+    for rec in records:
+        hits = ";".join(f"{two_m}:{v}" for two_m, v in rec.hits)
+        writer.writerow([rec.discriminant, rec.prime, rec.delta, rec.index, hits])
+    assert path.read_bytes() == expected.getvalue().encode()
 
 
 _HEADER = "D,p,delta,index,hits\n"
@@ -163,7 +172,7 @@ def test_reader_agrees_with_the_csv_oracle(tmp_path, name):
     path = tmp_path / "shard.csv"
     path.write_bytes(text.encode())
     if accepted:
-        assert read_index_shard(path).records() == _oracle_read(path)
+        assert list(read_index_shard(path)) == _oracle_read(path)
     else:
         with pytest.raises(ValueError):
             _oracle_read(path)
@@ -179,9 +188,9 @@ def test_index_shard_rejects_foreign_csv(tmp_path):
 
 
 def test_pairs_round_trip(tmp_path):
-    pairs = [IrregularPair(3, 2, 24, 1), IrregularPair(37, 32, 5, 2)]
+    records = [IndexRecord(24, 3, 2, "chi", ((2, 1),)), IndexRecord(5, 37, 36, "chi", ((32, 2),))]
     path = tmp_path / "pairs.csv"
-    write_pairs_csv(path, pairs)
+    write_pairs_csv(path, IndexColumns.from_records(records))
     assert path.read_text().splitlines() == ["p,two_m,D,valuation", "3,2,24,1", "37,32,5,2"]
 
 
@@ -221,7 +230,7 @@ def test_load_records_requires_completion(tmp_path):
     assert len(load_records(tmp_path, allow_partial=True)) == 0
     manifest.shards[0].complete = True
     write_manifest(tmp_path, manifest)
-    assert load_records(tmp_path).records() == _records()
+    assert list(load_records(tmp_path)) == _records()
 
 
 def test_load_records_checks_digest(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadzeta import stats
-from quadzeta.irregularity import IndexRecord, IrregularPair
+from quadzeta.irregularity import IndexRecord
 from quadzeta.stats import (
     aggregate_across_discriminants,
     build_distribution,
@@ -191,7 +191,7 @@ def test_residue_class_equal_split_is_zero():
 
 
 def test_ratio_uniformity_report():
-    pairs = [IrregularPair(37, 32, 5, 1)]
+    pairs = [IndexRecord(5, 37, 36, "chi", ((32, 1),))]
     rep = ratio_uniformity_report(pairs, bins=2)
     u = 32 / 37
     assert abs(rep.ks_statistic - max(u, 1 - u)) < 1e-12
@@ -202,7 +202,7 @@ def test_ratio_uniformity_report():
 
 
 def test_ratio_uniformity_bin_centers_zero_statistic():
-    pairs = [IrregularPair(100, n, 5, 1) for n in (10, 30, 50, 70, 90)]
+    pairs = [IndexRecord(5, 100, 99, "chi", tuple((n, 1) for n in (10, 30, 50, 70, 90)))]
     rep = ratio_uniformity_report(pairs, bins=5)
     assert rep.chi_squared == 0.0
     assert rep.histogram == (1, 1, 1, 1, 1)
