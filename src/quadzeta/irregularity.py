@@ -368,13 +368,12 @@ def _exact_divisor_sum(d: int, sigma: SigmaTable) -> int:
     return siegel_divisor_sums((sigma.exponent + 1) // 2, d, d + 1, sigma)[1][0]
 
 
-def _divisor_sum_valuations(
-    m: int, d_lo: int, d_hi: int, sigma: SigmaTable, p: int
-) -> tuple[list[int], np.ndarray]:
-    """(discriminants, v_p of their divisor sums), from residues mod p^_TABLE3_CAP[p]."""
+def _divisor_sum_valuations(sums: np.ndarray, discs: Sequence[int], sigma: SigmaTable,
+                            p: int) -> np.ndarray:
+    """v_p of the divisor sums of discs (sigma holds sigma_{2m-1}), from
+    sums known mod p^_TABLE3_CAP[p] (or exactly)."""
     e = _TABLE3_CAP[p]
-    discs, residues = siegel_divisor_sums_mod(m, d_lo, d_hi, sigma, p**e)
-    return discs, _valuations(residues, p, e, lambda i, depth: _exact_divisor_sum(discs[i], sigma))
+    return _valuations(sums % p**e, p, e, lambda i, depth: _exact_divisor_sum(discs[i], sigma))
 
 
 def compute_table3_block(
@@ -389,17 +388,23 @@ def compute_table3_block(
     Needs only v_3 and v_5 of the two divisor sums: with S_k(D) denoting
     sum_b sigma_k((D-b^2)/4), the tested values are L(-1) = -S_1(D)/5 and,
     for p = 5, L(-3) = S_3(D).  The sigma tables reach at least (d_hi - 1)/4;
-    sigma3 is needed only for p = 5.
+    sigma3 is needed only for p = 5.  One pass gives S_1 exactly (it stays
+    far inside int64 below 10^6), which serves both primes, and S_3 mod
+    5^_TABLE3_CAP[5].
     """
+    wanted = [(1, sigma1, None)]
+    if 5 in primes:
+        wanted.append((2, sigma3, 5**_TABLE3_CAP[5]))
+    discs, sums = siegel_divisor_sums_mod(d_lo, d_hi, wanted)
     by_prime = []
     for p in primes:
-        discs, v_s1 = _divisor_sum_valuations(1, d_lo, d_hi, sigma1, p)
+        v_s1 = _divisor_sum_valuations(sums[:, 0], discs, sigma1, p)
         if p == 3:
             valuation = v_s1[:, None]  # v_3(L(-1)) = v_3(S_1)
         else:
             # v_5(L(-1)) = v_5(S_1) - 1 (at D = 5, the tested 5 * L(-1) has
             # v_5(S_1)), and v_5(L(-3)) = v_5(S_3)
-            _, v_s3 = _divisor_sum_valuations(2, d_lo, d_hi, sigma3, 5)
+            v_s3 = _divisor_sum_valuations(sums[:, 1], discs, sigma3, 5)
             valuation = np.stack([v_s1 - 1, v_s3], axis=1)
         by_prime.append(_records(valuation, discs, p))
     return _by_pair(by_prime)
@@ -472,8 +477,8 @@ def scan_plan(kind: str, **given) -> ScanPlan:
                 gate and builds the sigma tables the blocks share.
 
     A parameter given as None counts as absent; a missing or foreign one
-    raises ValueError, as does a scan range with no block.  The plan's
-    params are the parameters as strings.
+    raises ValueError, as does a scan range with no block or an empty
+    prime set.  The plan's params are the parameters as strings.
     """
     if kind not in _SCAN_PARAMS:
         raise ValueError(f"unknown scan kind {kind!r}")
@@ -507,8 +512,11 @@ def scan_plan(kind: str, **given) -> ScanPlan:
         key, lo, hi = "D", max(given.get("dmin", 2), 2), given["dmax"]
         size = GRID_BLOCK if kind == "grid" else MILLION_BLOCK
     blocks = _block_ranges(lo, hi, size)
-    if not blocks:  # before the million plan's gate and sieves
+    # both checks come before the million plan's gate and sieves
+    if not blocks:
         raise ValueError(f"{kind} scan range is empty: no {key} at least {lo} and below {hi}")
+    if kind != "fixed-disc" and not primes:
+        raise ValueError(f"{kind} scan has no odd prime to test")
     if kind == "fixed-disc":
         task = partial(compute_fixed_disc_block, disc)
     elif kind == "grid":

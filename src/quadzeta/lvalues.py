@@ -19,18 +19,21 @@ formulas, which is subpolynomial per discriminant when D varies:
     zeta_D(-3) = (1/120) * sum_b sigma_3((D - b^2) / 4)
 
 summing over all integers b (positive, negative and zero) with b^2 < D and
-b = D (mod 2).  One accumulator (_theta_sums) gives these sums, exact (on
-32-bit halves) or mod p^e, for a window of D, one contiguous sigma slice
-per b.  The coefficients are quarantined behind an exact-equality gate
-against the twisted-Bernoulli route; call validate_siegel_gate() before
-trusting a large batch run.
+b = D (mod 2).  One accumulator (_theta_sums) gives these sums for a window
+of D: a single b-loop over a stack of sigma columns, adding one contiguous
+slice per b into a contiguous buffer per residue class of D mod 4.  The
+exact sums run the 32-bit halves of the sigma values as two columns; a
+Table 3 block runs S_1 once, unreduced (exact in int64, and read for both
+v_3 and v_5), beside S_3 mod 5^13.  The coefficients are quarantined behind
+an exact-equality gate against the twisted-Bernoulli route; call
+validate_siegel_gate() before trusting a large batch run.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -105,21 +108,29 @@ def _theta_sums(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """acc[D - lo] = sum_b values[(D - b^2)/4] for lo <= D < hi, over all
     integers b with b^2 < D and b = D (mod 2): the one divisor-sum b-loop.
 
-    As D steps by 4, (D - b^2)/4 runs over consecutive integers, so each
-    b >= 0 adds one contiguous slice of values, twice for b > 0 (b and -b),
-    into the stride-4 view of acc from its first D at or above lo.
+    values has shape (n,) or (n, k); acc has one column per column of
+    values, and is 0 at D = 2, 3 (mod 4).  The D = b^2 (mod 4) of the window
+    form one residue class per parity of b, and as D steps by 4 there,
+    (D - b^2)/4 runs over consecutive integers.  So each b adds one
+    contiguous slice of values into a contiguous buffer of its class: b = 0
+    into its own, every b > 0 into one that is doubled at the end (b and -b).
     """
-    acc = np.zeros(max(hi - lo, 0), dtype=np.int64)
+    tail = values.shape[1:]
+    # class r holds the D = first[r] + 4j, j < count[r], of [lo, hi) with D = r (mod 4)
+    first = (lo + -lo % 4, lo + (1 - lo) % 4)
+    count = tuple(max((hi - f + 3) // 4, 0) for f in first)
+    acc = np.zeros((3, max(count)) + tail, dtype=np.int64)  # class 0, class 1, b = 0
     b = 0
     while b * b + 4 < hi:
-        start = b * b + 4
-        if start < lo:
-            start += ((lo - start + 3) // 4) * 4
-        view = acc[start - lo :: 4]
-        n0 = (start - b * b) // 4
-        view += (1 if b == 0 else 2) * values[n0 : n0 + len(view)]
+        r = b & 1
+        n0 = (first[r] - b * b) // 4  # (D - b^2)/4 at j = 0; the terms need it >= 1
+        j = max(1 - n0, 0)
+        acc[r if b else 2, j : count[r]] += values[n0 + j : n0 + count[r]]
         b += 1
-    return acc
+    out = np.zeros((max(hi - lo, 0),) + tail, dtype=np.int64)
+    out[first[0] - lo :: 4] = 2 * acc[0, : count[0]] + acc[2, : count[0]]
+    out[first[1] - lo :: 4] = 2 * acc[1, : count[1]]
+    return out
 
 
 def _sigma_prefix(m: int, hi: int, sigma: SigmaTable) -> np.ndarray:
@@ -134,36 +145,59 @@ def _sigma_prefix(m: int, hi: int, sigma: SigmaTable) -> np.ndarray:
     return sigma.values[: need + 1]
 
 
+def _window_sums(columns: list[np.ndarray], lo: int, hi: int) -> tuple[list[int], np.ndarray]:
+    """(fundamental D in [lo, hi), their theta sums): one row per D, one
+    column per entry of columns.
+
+    A sum has at most 2(isqrt(hi) + 1) terms, so the largest value times
+    that bound must stay below 2^63 for every sum to be exact in int64.
+    """
+    values = np.stack(columns, axis=1)
+    if int(values.max(initial=0)) * 2 * (math.isqrt(max(hi, 0)) + 1) >= 2**63:
+        raise ValueError("divisor sums of these values would overflow int64")
+    discs = enumerate_fundamental_discriminants(lo, hi)
+    return discs, _theta_sums(values, lo, hi)[np.asarray(discs, dtype=np.int64) - lo]
+
+
 def siegel_divisor_sums(m: int, lo: int, hi: int, sigma: SigmaTable) -> tuple[list[int], list[int]]:
     """(discriminants, divisor sums) for all fundamental D in [lo, hi).
 
     The sum for D is sum_b sigma_{2m-1}((D - b^2)/4) over b^2 < D with
     b = D (mod 2).  The two 32-bit halves of the int64 sigma values are
-    accumulated apart, then reassembled into exact Python integers.
+    accumulated as two columns of one pass (the low one alone when every
+    value fits in 32 bits), then reassembled into exact Python integers.
     """
     values = _sigma_prefix(m, hi, sigma)
-    discs = enumerate_fundamental_discriminants(lo, hi)
-    idx = np.asarray(discs, dtype=np.int64) - lo
-    low = _theta_sums(values & _MASK32, lo, hi)[idx].tolist()
-    high = _theta_sums(values >> 32, lo, hi)[idx].tolist()
-    return discs, [(h << 32) + l for h, l in zip(high, low)]
+    halves = [values & _MASK32]
+    if int(values.max(initial=0)) > _MASK32:
+        halves.append(values >> 32)
+    discs, sums = _window_sums(halves, lo, hi)
+    if len(halves) == 1:
+        return discs, sums[:, 0].tolist()
+    return discs, [(h << 32) + l for l, h in sums.tolist()]
 
 
 def siegel_divisor_sums_mod(
-    m: int, lo: int, hi: int, sigma: SigmaTable, modulus: int
+    lo: int, hi: int, sums: Sequence[tuple[int, SigmaTable, int | None]]
 ) -> tuple[list[int], np.ndarray]:
-    """Divisor sums reduced mod modulus, for valuation-only scans.
+    """(discriminants, divisor sums) for all fundamental D in [lo, hi), one
+    column per (m, sigma, modulus) of sums, all from one pass of the b-loop.
 
-    Avoids wide integers entirely; agrees with siegel_divisor_sums modulo
-    modulus (tested).  modulus must be modest enough that 2 * sqrt(hi) *
-    modulus fits in int64, which every p^k used by the scans satisfies.
+    A column is reduced mod its modulus, or left exact where the modulus is
+    None; either way it agrees with siegel_divisor_sums (tested).  The sigma
+    values are reduced before they are summed, and the largest of them must
+    keep every sum within int64, as it does for sigma_1 and for sigma_3 mod
+    5^13 below 10^6.
     """
-    values = _sigma_prefix(m, hi, sigma)
-    if 2 * (math.isqrt(hi) + 1) * modulus >= 2**62:
-        raise ValueError("modulus too large for the vectorized accumulator")
-    discs = enumerate_fundamental_discriminants(lo, hi)
-    acc = _theta_sums(values % modulus, lo, hi)
-    return discs, acc[np.asarray(discs, dtype=np.int64) - lo] % modulus
+    columns = []
+    for m, sigma, modulus in sums:
+        values = _sigma_prefix(m, hi, sigma)
+        columns.append(values if modulus is None else values % modulus)
+    discs, acc = _window_sums(columns, lo, hi)
+    for i, (_, _, modulus) in enumerate(sums):
+        if modulus is not None:
+            acc[:, i] %= modulus
+    return discs, acc
 
 
 def siegel_batch(

@@ -204,6 +204,9 @@ def expected_counts_exact(records: IndexColumns | Iterable[IndexRecord], r_max: 
 
 # The "limit" prediction's categories: index 0, 1, 2 and the tail from 3 up.
 LIMIT_TAIL = 3
+# The "exact" prediction's largest prime (Table 2's range): its exact
+# binomials grow with every distinct prime, and past it they take minutes.
+EXACT_PRIME_BOUND = 100
 
 
 def build_distribution(
@@ -214,7 +217,8 @@ def build_distribution(
     prediction "limit" uses the limiting fractions over the categories
     {0}, {1}, {2}, {>=3}, the tail class folded so expected counts total
     the population; "exact" sums the per-record small-p binomials over
-    singletons up to the largest trial count (p - 1)/2.
+    singletons up to the largest trial count (p - 1)/2, and raises
+    ValueError on a prime above EXACT_PRIME_BOUND.
     """
     cols = as_columns(records)
     if not len(cols):
@@ -228,7 +232,11 @@ def build_distribution(
         g_exp = expected[:LIMIT_TAIL] + [size * (1.0 - sum(fractions[:LIMIT_TAIL]))]
         grouped = (labels, [float(o) for o in g_obs], g_exp)
     elif prediction == "exact":
-        counts = observed_counts(cols, (int(cols.prime.max()) - 1) // 2)
+        p_max = int(cols.prime.max())
+        if p_max > EXACT_PRIME_BOUND:
+            raise ValueError(f"the exact prediction takes primes up to {EXACT_PRIME_BOUND}; "
+                             f"the largest prime here is {p_max}")
+        counts = observed_counts(cols, (p_max - 1) // 2)
         expected = expected_counts_exact(cols, len(counts) - 1)
         fractions = [e / size for e in expected]
         grouped = None  # the singleton rows themselves

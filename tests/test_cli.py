@@ -339,6 +339,10 @@ def test_report_table1_and_residue_classes(capsys, small_fixed):
                      id="grid-empty-range"),
         pytest.param(["scan", "--kind", "fixed-disc", "--disc", "5", "--pmax", "3", "--out",
                       "{out}"], id="fixed-disc-empty-range"),
+        pytest.param(["scan", "--kind", "grid", "--dmax", "100", "--pmax", "3", "--out", "{out}"],
+                     id="grid-no-odd-prime"),
+        pytest.param(["report", "--input", "{scan}", "--table", "3"],
+                     id="table3-exact-prediction-beyond-p-100"),
         pytest.param(["survey", "--input", "{scan}", "--primes", "9"], id="survey-not-prime"),
     ],
 )

@@ -25,8 +25,9 @@ from quadzeta.irregularity import (
     high_valuation_survey,
     scan_fixed_discriminant,
     scan_fixed_primes,
+    scan_plan,
 )
-from quadzeta.lvalues import l_chi_exact, zeta_d_exact
+from quadzeta.lvalues import l_chi_exact, siegel_divisor_sums_mod, zeta_d_exact
 from quadzeta.numtheory import (
     divisor_sigma_sieve,
     enumerate_fundamental_discriminants,
@@ -202,6 +203,21 @@ def test_table3_zero_residues_take_the_exact_divisor_sum(monkeypatch):
                                 divisor_sigma_sieve(3, 499))
     assert recs == compute_grid_block(2, 2000, (3, 5))
     assert max(v for rec in recs for _, v in rec.hits) >= 3
+
+
+def test_table3_block_is_one_divisor_sum_pass(monkeypatch):
+    # S_1 (exact, for v_3 and v_5) and S_3 (mod 5^13) come from one call per block
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return siegel_divisor_sums_mod(*args)
+
+    plan = scan_plan("million", dmax=30_000)
+    monkeypatch.setattr(irregularity, "siegel_divisor_sums_mod", counted)
+    cols = IndexColumns.concatenate(list(plan.run()))
+    assert len(calls) == len(plan.blocks) == 3
+    assert cols == compute_grid_block(2, 30_000, (3, 5))
 
 
 _BLOCK_SIGMA = (divisor_sigma_sieve(1, 4300), divisor_sigma_sieve(3, 4300))

@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -118,17 +119,17 @@ def test_divisor_sums_modular_mode_agrees_with_exact():
     sig3 = divisor_sigma_sieve(3, 5000)
     for m, sigma in ((1, sig1), (2, sig3)):
         discs, sums = siegel_divisor_sums(m, 2, 20_000, sigma)
-        for modulus in (3**19, 5**13):
-            discs2, residues = siegel_divisor_sums_mod(m, 2, 20_000, sigma, modulus)
-            assert discs == discs2
-            assert all(s % modulus == int(r) for s, r in zip(sums, residues))
+        discs2, residues = siegel_divisor_sums_mod(2, 20_000, [(m, sigma, 3**19), (m, sigma, 5**13)])
+        assert discs == discs2
+        for modulus, column in zip((3**19, 5**13), residues.T):
+            assert all(s % modulus == int(r) for s, r in zip(sums, column))
 
 
 def test_divisor_sums_valuations_agree_between_modes():
     sig1 = divisor_sigma_sieve(1, 5000)
     discs, sums = siegel_divisor_sums(1, 2, 20_000, sig1)
-    _, res3 = siegel_divisor_sums_mod(1, 2, 20_000, sig1, 3**19)
-    _, res5 = siegel_divisor_sums_mod(1, 2, 20_000, sig1, 5**13)
+    _, residues = siegel_divisor_sums_mod(2, 20_000, [(1, sig1, 3**19), (1, sig1, 5**13)])
+    res3, res5 = residues.T
     for d, s, r3, r5 in zip(discs, sums, res3, res5):
         for p, r in ((3, int(r3)), (5, int(r5))):
             if r:
@@ -158,10 +159,36 @@ def test_divisor_sums_on_windows_past_the_start(m, lo, width):
     assert discs == enumerate_fundamental_discriminants(lo, hi)
     assert sums == [_direct_divisor_sum(d, sigma) for d in discs]
     assert sums == [_exact_divisor_sum(d, sigma) for d in discs]
-    for modulus in (3**19, 5**13):
-        discs_mod, residues = siegel_divisor_sums_mod(m, lo, hi, sigma, modulus)
-        assert discs_mod == discs
-        assert residues.tolist() == [s % modulus for s in sums]
+    discs_mod, residues = siegel_divisor_sums_mod(
+        lo, hi, [(m, sigma, 3**19), (m, sigma, 5**13), (m, sigma, None)])
+    assert discs_mod == discs
+    for modulus, column in zip((3**19, 5**13), residues.T):
+        assert column.tolist() == [s % modulus for s in sums]
+    assert residues[:, 2].tolist() == sums  # unreduced, and exact in int64 at this size
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 600), st.integers(-3, 60), st.integers(1, 3), st.integers(0, 2**32))
+@example(0, 6, 2, 0)  # hi <= 6: the first terms, b = 0 and b = 1
+@example(1, 5, 3, 1)
+@example(2, 4, 1, 2)
+@example(3, 3, 2, 3)
+@example(4, 0, 2, 4)  # empty
+@example(9, -3, 2, 5)  # hi < lo
+@example(401, 38, 3, 6)  # windows starting in each class mod 4
+@example(402, 38, 3, 7)
+@example(403, 38, 3, 8)
+@example(404, 38, 3, 9)
+def test_stacked_theta_sums_are_one_column_sums(lo, width, k, seed):
+    hi = lo + width
+    values = np.random.default_rng(seed).integers(0, 2**40, size=(max((hi - 1) // 4 + 1, 0), k))
+    stacked = lvalues._theta_sums(values, lo, hi)
+    assert stacked.shape == (max(width, 0), k)
+    for c in range(k):
+        column = lvalues._theta_sums(values[:, c], lo, hi)
+        assert column.tolist() == stacked[:, c].tolist()
+        assert column.tolist() == [_direct_divisor_sum(d, values[:, c]) if d > 0 and d % 4 < 2
+                                   else 0 for d in range(lo, hi)]
 
 
 def test_one_divisor_sum_b_loop():

@@ -91,6 +91,9 @@ def test_pool_has_no_more_workers_than_blocks(monkeypatch):
         ("grid", {"dmax": 2, "pmax": 10}, "empty: no D at least 2 and below 2"),
         ("grid", {"dmin": 500, "dmax": 400, "primes": [3]}, "empty: no D at least 500 and below 400"),
         ("million", {"dmax": 2}, "empty: no D at least 2 and below 2"),
+        ("grid", {"dmax": 100, "pmax": 3}, "grid scan has no odd prime"),
+        ("grid", {"dmax": 100, "primes": []}, "grid scan has no odd prime"),
+        ("million", {"dmax": 100, "primes": ()}, "million scan has no odd prime"),
     ],
 )
 def test_plan_validation(kind, params, problem):
@@ -108,6 +111,8 @@ def test_empty_million_range_is_refused_before_the_gate(monkeypatch):
     monkeypatch.setattr(irregularity, "divisor_sigma_sieve", unreachable)
     with pytest.raises(ValueError, match="is empty"):
         scan_plan("million", dmin=30000, dmax=20000)
+    with pytest.raises(ValueError, match="no odd prime"):
+        scan_plan("million", dmax=20000, primes=())
 
 
 def test_cli_uses_no_private_irregularity_name():

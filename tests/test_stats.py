@@ -145,6 +145,17 @@ def test_build_distribution_exact_mode():
     assert abs(sum(table.expected) - 4) < 1e-12
 
 
+def test_exact_prediction_stops_at_table_2_primes():
+    # the exact binomials' common denominator grows with every distinct prime
+    below = [_record(5, p, 0) for p in (3, 97)]
+    assert build_distribution(below, "exact").size == 2
+    with pytest.raises(ValueError, match="largest prime here is 101"):
+        build_distribution(below + [_record(5, 101, 0)], "exact")
+    with pytest.raises(ValueError, match="largest prime here is 2003"):
+        aggregate_across_discriminants([_record(8, 2003, 1)], "exact")
+    assert build_distribution([_record(5, 2003, 1)], "limit").size == 1
+
+
 def test_build_distribution_empty():
     table = build_distribution([], "limit")
     assert table.significance == 1.0
