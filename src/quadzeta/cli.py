@@ -7,13 +7,11 @@ Exit codes: 0 success, 2 usage or validation error, 3 incomplete input,
 The library owns every input rule (discriminants, primes, exponent ranges,
 which parameters a scan kind takes); this module parses flags, checks only
 the flag combinations argparse cannot express, and maps the library's
-exceptions to exit codes.  A scan runs the plan of `irregularity.scan_plan`,
-the same plan the library's scan functions run, with the flags as given;
-this module names the manifest's shards.  Scans write CSV shards plus a
-manifest.  Each block's shard is written and digested in the process that
-computed it (a pool worker, or this process at one worker); this process
-writes only the manifest, after each block in block order.  Reports and
-surveys consume those files without touching the compute modules again
+exceptions to exit codes.  A scan plans with `irregularity.scan_plan`, the
+plan the library's scan functions run, with the flags as given, and hands
+it to `shards.write_scan`, which owns the scan directory: shard names, the
+manifest and --resume.  Reports and surveys read that directory through
+`shards.load_records`, without touching the compute modules again
 (the residue histogram is the one exception, since shards do not carry
 residues).  All text output is ASCII; table renderers round with the
 banker's rounding of format(), while JSON output carries full-precision
@@ -23,10 +21,8 @@ numbers.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -108,68 +104,12 @@ def _parse_primes(text: str) -> tuple[int, ...]:
     return primes
 
 
-def _scan_plan(args):
-    """(plan, manifest) for the requested scan kind."""
+def cmd_scan(args) -> int:
     primes = None if args.primes is None else _parse_primes(args.primes)
     plan = irregularity.scan_plan(args.kind, disc=args.disc, pmax=args.pmax, dmax=args.dmax,
-                                  primes=primes)
-    manifest = shards.ScanManifest(kind=plan.kind, params=plan.params)
-    for lo, hi in plan.blocks:
-        manifest.shards.append(shards.ShardEntry(name=_shard_name(plan.kind, lo, hi), lo=lo, hi=hi))
-    return plan, manifest
-
-
-def _shard_name(kind: str, lo: int, hi: int) -> str:
-    return f"{kind}-{lo:08d}-{hi:08d}.csv"
-
-
-def _write_block(task, out: Path, kind: str, lo: int, hi: int) -> tuple[str, int]:
-    """Compute one block, write its shard and return (digest, record count).
-
-    This runs in the process that computed the block, so a pool scan sends
-    the parent only the digest and the count, never the records."""
-    records = task(lo, hi)
-    path = out / _shard_name(kind, lo, hi)
-    shards.write_index_shard(path, records)
-    return shards.file_digest(path), len(records)
-
-
-def _fmt_params(params: dict) -> str:
-    return " ".join(f"{key}={value}" for key, value in sorted(params.items()))
-
-
-def cmd_scan(args) -> int:
-    plan, manifest = _scan_plan(args)  # a rejected scan leaves no directory behind
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    total = 0  # records: those of the shards --resume reuses, then those written here
-    if args.resume and (out / shards.MANIFEST_NAME).exists():
-        previous = shards.read_manifest(out)
-        if previous.kind != manifest.kind or previous.params != manifest.params:
-            raise CommandError(
-                f"--resume: {out} holds a {previous.kind} scan with {_fmt_params(previous.params)}, "
-                f"not a {manifest.kind} scan with {_fmt_params(manifest.params)}"
-            )
-        done = {(s.lo, s.hi): s for s in previous.shards if s.complete}
-        for entry in manifest.shards:
-            old = done.get((entry.lo, entry.hi))
-            if old and (out / old.name).exists():
-                if shards.file_digest(out / old.name) == old.digest:
-                    entry.digest = old.digest
-                    entry.complete = True
-                    total += (out / old.name).read_bytes().count(b"\n") - 1
-    pending = [entry for entry in manifest.shards if not entry.complete]
-    shards.write_manifest(out, manifest)
-    # workers may write shards ahead of the manifest; an entry is complete
-    # only once the manifest, written here in block order, says so
-    writer = dataclasses.replace(plan, task=partial(_write_block, plan.task, out, plan.kind))
-    results = writer.run(args.workers, [(entry.lo, entry.hi) for entry in pending])
-    for entry, (digest, count) in zip(pending, results):
-        entry.digest = digest
-        entry.complete = True
-        shards.write_manifest(out, manifest)
-        total += count
-    print(f"scan {args.kind} complete: {len(manifest.shards)} shards, {total} records")
+                                  primes=primes)  # a rejected scan leaves no directory behind
+    total = shards.write_scan(plan, Path(args.out), args.workers, args.resume)
+    print(f"scan {args.kind} complete: {len(plan.blocks)} shards, {total} records")
     return EXIT_OK
 
 
@@ -201,11 +141,8 @@ def _fmt_average(x, decimals: int = 2) -> str:
 def _load(args) -> irregularity.IndexColumns:
     if args.input is None:
         raise CommandError(f"--table {args.table} needs --input")
-    directory = Path(args.input)
-    if not (directory / shards.MANIFEST_NAME).exists():
-        raise CommandError(f"no manifest in {directory}", EXIT_INCOMPLETE)
     try:
-        return shards.load_records(directory, allow_partial=args.allow_partial)
+        return shards.load_records(Path(args.input), allow_partial=args.allow_partial)
     except shards.IncompleteScanError as exc:
         raise CommandError(str(exc), EXIT_INCOMPLETE) from exc
 

@@ -324,6 +324,16 @@ def classical_irregularity_index(p: int) -> IndexRecord:
 # scan drivers
 
 
+def scan_range(kind: str, params: dict) -> tuple[str, int, int]:
+    """(key, lo, hi): a scan covers p in [3, pmax) for fixed-disc, and D in
+    [max(dmin, 2), dmax) otherwise; params hold the values or their strings."""
+    key, end = ("p", "pmax") if kind == "fixed-disc" else ("D", "dmax")
+    if end not in params:
+        raise ValueError(f"{kind} scan params give no {end}, so the scan range has no end")
+    lo = 3 if key == "p" else max(int(params.get("dmin", 2)), 2)
+    return key, lo, int(params[end])
+
+
 def _block_ranges(lo: int, hi: int, size: int) -> list[tuple[int, int]]:
     """Partition [lo, hi) at multiples of size, independent of worker count."""
     if hi <= lo:
@@ -429,9 +439,14 @@ class ScanPlan:
         self, workers: int = 1, blocks: Sequence[tuple[int, int]] | None = None
     ) -> Iterator[IndexColumns]:
         """The rows of each block (all of them by default), in block order
-        whatever the worker count."""
-        blocks = self.blocks if blocks is None else blocks
-        if workers <= 1 or len(blocks) <= 1:
+        whatever the worker count.  A worker count below 1 raises ValueError
+        here, not at the first block."""
+        if workers < 1:
+            raise ValueError(f"workers must be at least 1, not {workers}")
+        return self._run(workers, self.blocks if blocks is None else blocks)
+
+    def _run(self, workers: int, blocks: Sequence[tuple[int, int]]) -> Iterator[IndexColumns]:
+        if workers == 1 or len(blocks) <= 1:
             for block in blocks:
                 yield self.task(*block)
             return
@@ -499,9 +514,10 @@ def scan_plan(kind: str, **given) -> ScanPlan:
         key: ",".join(map(str, value)) if key == "primes" else str(value)
         for key, value in given.items()
     }
+    key, lo, hi = scan_range(kind, given)
     if kind == "fixed-disc":
         disc = validate_fundamental_discriminant(given["disc"])
-        key, lo, hi, size = "p", 3, given["pmax"], PRIME_BLOCK
+        size = PRIME_BLOCK
     else:
         primes = given["primes"] if "primes" in given else tuple(odd_primes_up_to(given["pmax"]))
         if kind == "grid":
@@ -509,7 +525,6 @@ def scan_plan(kind: str, **given) -> ScanPlan:
                 validate_odd_prime(p)
         elif not set(primes) <= {3, 5}:
             raise ValueError("the million scan supports the primes 3 and 5 only")
-        key, lo, hi = "D", max(given.get("dmin", 2), 2), given["dmax"]
         size = GRID_BLOCK if kind == "grid" else MILLION_BLOCK
     blocks = _block_ranges(lo, hi, size)
     # both checks come before the million plan's gate and sieves

@@ -8,7 +8,9 @@ where hits is a semicolon-joined list of 2m:valuation pairs, empty for
 index 0.  Irregular pairs use the schema p,two_m,D,valuation.  Shards are
 written atomically (temp file then rename) so an interrupted scan never
 leaves a truncated shard behind; the manifest records one shard per line
-with its digest and completion flag.  Shards are written from IndexColumns,
+with its digest and completion flag.  This module owns the scan directory:
+write_scan names, writes and resumes the shards of an irregularity.ScanPlan,
+and load_records reads them back.  Shards are written from IndexColumns,
 as the block kernels return them, and read back as IndexColumns: the
 reader validates whole columns at once, and load_records joins the shards
 of a scan into one IndexColumns.
@@ -18,14 +20,15 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .irregularity import IndexColumns, IndexRecord, as_columns
+from .irregularity import IndexColumns, IndexRecord, ScanPlan, as_columns, scan_range
 
 INDEX_HEADER = ["D", "p", "delta", "index", "hits"]
 PAIR_HEADER = ["p", "two_m", "D", "valuation"]
@@ -183,12 +186,7 @@ class ScanManifest:
         """The shard spans follow one another with no gap and no overlap, from
         the start of the scan range to its end: p in [3, pmax) for a
         fixed-disc scan, D in [max(dmin, 2), dmax) otherwise."""
-        fixed = self.kind == "fixed-disc"
-        end = "pmax" if fixed else "dmax"
-        if end not in self.params:
-            raise ValueError(f"manifest params give no {end}, so the scan range has no end")
-        lo = 3 if fixed else max(int(self.params.get("dmin", 2)), 2)
-        hi = int(self.params[end])
+        _, lo, hi = scan_range(self.kind, self.params)
         spans = sorted((s.lo, s.hi) for s in self.shards)
         edges = [lo, *(x for span in spans for x in span), hi]  # each hi meets the next lo
         if edges[0::2] != edges[1::2]:
@@ -216,7 +214,7 @@ def read_manifest(directory: Path) -> ScanManifest:
     params: dict[str, str] = {}
     shards: list[ShardEntry] = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -226,18 +224,21 @@ def read_manifest(directory: Path) -> ScanManifest:
             elif key.startswith("param."):
                 params[key[len("param.") :]] = value
             elif key.startswith("shard."):
-                name, *attrs = value.split()
-                entry = ShardEntry(name=name, lo=0, hi=0)
-                for attr in attrs:
-                    k, _, v = attr.partition("=")
-                    if k == "lo":
-                        entry.lo = int(v)
-                    elif k == "hi":
-                        entry.hi = int(v)
-                    elif k == "sha256":
-                        entry.digest = "" if v == "-" else v
-                    elif k == "complete":
-                        entry.complete = bool(int(v))
+                try:  # every parse error names the manifest line
+                    name, *attrs = value.split()
+                    entry = ShardEntry(name=name, lo=0, hi=0)
+                    for attr in attrs:
+                        k, _, v = attr.partition("=")
+                        if k == "lo":
+                            entry.lo = int(v)
+                        elif k == "hi":
+                            entry.hi = int(v)
+                        elif k == "sha256":
+                            entry.digest = "" if v == "-" else v
+                        elif k == "complete":
+                            entry.complete = bool(int(v))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{number}: {exc}") from None
                 shards.append(entry)
     if not kind:
         raise ValueError(f"{path} has no scan kind")
@@ -252,9 +253,12 @@ def load_records(directory: Path, allow_partial: bool = False) -> IndexColumns:
     digest, and its file must match it.  Each record's block key (p for a
     fixed-disc scan, D otherwise) must lie in its shard's [lo, hi).
 
-    Raises IncompleteScanError unless allow_partial is set; report commands
-    map that onto the dedicated exit code.
+    Raises IncompleteScanError for a directory with no manifest, and for an
+    incomplete scan unless allow_partial is set; report commands map that
+    onto the dedicated exit code.
     """
+    if not (directory / MANIFEST_NAME).exists():
+        raise IncompleteScanError(f"no manifest in {directory}")
     manifest = read_manifest(directory)
     manifest.validate_partition()
     if not manifest.complete and not allow_partial:
@@ -275,3 +279,60 @@ def load_records(directory: Path, allow_partial: bool = False) -> IndexColumns:
             raise ValueError(f"shard {entry.name} holds records outside [{entry.lo}, {entry.hi})")
         parts.append(shard)
     return IndexColumns.concatenate(parts)
+
+
+def _shard_name(kind: str, lo: int, hi: int) -> str:
+    return f"{kind}-{lo:08d}-{hi:08d}.csv"
+
+
+def _write_block(task, out: Path, kind: str, lo: int, hi: int) -> tuple[str, int]:
+    """Compute one block and write its shard, in the same process, so a pool
+    worker sends the parent only (digest, record count), never the records."""
+    records = task(lo, hi)
+    path = out / _shard_name(kind, lo, hi)
+    write_index_shard(path, records)
+    return file_digest(path), len(records)
+
+
+def _describe(manifest: ScanManifest) -> str:
+    params = " ".join(f"{key}={value}" for key, value in sorted(manifest.params.items()))
+    return f"a {manifest.kind} scan with {params}"
+
+
+def write_scan(plan: ScanPlan, out: Path, workers: int = 1, resume: bool = False) -> int:
+    """Run plan into the directory out and return the scan's record total.
+
+    A block's shard is written and digested where the block is computed (a
+    pool worker, or this process at one worker); this process writes the
+    manifest before the blocks and after each one, in block order, so a
+    shard is done only once the manifest says so.  resume keeps each
+    complete shard of a manifest already in out whose file matches its
+    digest; that manifest must name the same kind and params (ValueError
+    otherwise).  The bytes are those of a fresh run at any worker count.
+    A worker count below 1 raises ValueError before out is created.
+    """
+    entries = [ShardEntry(_shard_name(plan.kind, lo, hi), lo, hi) for lo, hi in plan.blocks]
+    manifest = ScanManifest(plan.kind, plan.params, entries)
+    total = 0  # records: those of the kept shards, then those written here
+    if resume and (out / MANIFEST_NAME).exists():
+        previous = read_manifest(out)
+        if (previous.kind, previous.params) != (manifest.kind, manifest.params):
+            raise ValueError(f"--resume: {out} holds {_describe(previous)}, not {_describe(manifest)}")
+        done = {(s.lo, s.hi): s for s in previous.shards if s.complete}
+        for entry in manifest.shards:
+            old = done.get((entry.lo, entry.hi))
+            if old and (out / old.name).exists() and file_digest(out / old.name) == old.digest:
+                entry.digest = old.digest
+                entry.complete = True
+                total += (out / old.name).read_bytes().count(b"\n") - 1
+    pending = [entry for entry in manifest.shards if not entry.complete]
+    writer = replace(plan, task=partial(_write_block, plan.task, out, plan.kind))
+    results = writer.run(workers, [(entry.lo, entry.hi) for entry in pending])
+    out.mkdir(parents=True, exist_ok=True)  # after run has checked the worker count
+    write_manifest(out, manifest)
+    for entry, (digest, count) in zip(pending, results):
+        entry.digest = digest
+        entry.complete = True
+        write_manifest(out, manifest)
+        total += count
+    return total

@@ -228,6 +228,12 @@ def test_report_requires_complete_manifest(capsys, tmp_path, small_grid):
     assert code == 0
 
 
+@pytest.mark.parametrize("partial", [[], ["--allow-partial"]], ids=["strict", "allow-partial"])
+def test_report_without_manifest_is_incomplete_input(capsys, tmp_path, partial):
+    code, _, err = run(capsys, "report", "--input", str(tmp_path), "--table", "2", *partial)
+    assert code == 3 and err == f"error: no manifest in {tmp_path}\n", err
+
+
 def test_report_table2_text_and_json(capsys, small_grid):
     code, out, _ = run(capsys, "report", "--input", str(small_grid), "--table", "2")
     assert code == 0
@@ -341,6 +347,10 @@ def test_report_table1_and_residue_classes(capsys, small_fixed):
                       "{out}"], id="fixed-disc-empty-range"),
         pytest.param(["scan", "--kind", "grid", "--dmax", "100", "--pmax", "3", "--out", "{out}"],
                      id="grid-no-odd-prime"),
+        pytest.param(["scan", "--kind", "grid", "--dmax", "300", "--pmax", "20", "--out", "{out}",
+                      "--workers", "0"], id="workers-0"),
+        pytest.param(["scan", "--kind", "grid", "--dmax", "300", "--pmax", "20", "--out", "{out}",
+                      "--workers", "-1"], id="workers-negative"),
         pytest.param(["report", "--input", "{scan}", "--table", "3"],
                      id="table3-exact-prediction-beyond-p-100"),
         pytest.param(["survey", "--input", "{scan}", "--primes", "9"], id="survey-not-prime"),

@@ -14,7 +14,7 @@ from quadzeta.irregularity import (
     scan_plan,
 )
 from quadzeta.numtheory import divisor_sigma_sieve, odd_primes_up_to
-from quadzeta.shards import load_records, read_manifest
+from quadzeta.shards import load_records, read_manifest, write_scan
 
 
 def test_divisor_sum_route_equals_grid_route():
@@ -70,6 +70,20 @@ def test_pool_has_no_more_workers_than_blocks(monkeypatch):
     with pytest.raises(RuntimeError, match="no pool"):
         list(plan.run(16))
     assert asked == [3]
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_worker_count_below_one_is_refused_at_call_time(tmp_path, workers):
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        scan_fixed_discriminant(5, 100, workers=workers)
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        scan_fixed_primes(2, 100, [3, 7], workers=workers)
+    plan = scan_plan("grid", dmax=300, pmax=20)
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        plan.run(workers)  # before the first block, not at it
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        write_scan(plan, tmp_path / "out", workers=workers)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -133,6 +147,22 @@ def test_cli_uses_no_private_irregularity_name():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_cli_leaves_the_scan_directory_to_shards():
+    # shards.write_scan and shards.load_records own shard names, the manifest
+    # and its digests; the CLI plans, calls them and prints
+    protocol = {"MANIFEST_NAME", "read_manifest", "write_manifest", "file_digest",
+                "write_index_shard", "ScanManifest", "ShardEntry"}
+    named = set()
+    for node in ast.walk(ast.parse(Path(quadzeta.cli.__file__).read_text())):
+        if isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            named.update(alias.name for alias in node.names)
+    assert named & protocol == set()
 
 
 def test_cli_imports_nothing_from_numtheory():

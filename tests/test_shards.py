@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from quadzeta.cli import main
-from quadzeta.irregularity import IndexColumns, IndexRecord
+from quadzeta.irregularity import IndexColumns, IndexRecord, scan_plan
 from quadzeta.shards import (
     INDEX_HEADER,
     IncompleteScanError,
@@ -22,6 +22,7 @@ from quadzeta.shards import (
     write_index_shard,
     write_manifest,
     write_pairs_csv,
+    write_scan,
 )
 
 
@@ -210,6 +211,47 @@ def test_manifest_round_trip(tmp_path):
     assert back.shards == manifest.shards
     assert not back.complete
     back.validate_partition()
+
+
+@pytest.mark.parametrize("line, problem", [
+    ("shard.0001=b.csv lo=x hi=2000 sha256=- complete=0", "invalid literal"),
+    ("shard.0001=b.csv lo=1000 hi=2000 sha256=- complete=yes", "invalid literal"),
+    ("shard.0001=", "not enough values"),
+])
+def test_manifest_parse_errors_name_the_line(tmp_path, line, problem):
+    manifest = ScanManifest("grid", {"dmax": "2000", "pmax": "100"},
+                            [ShardEntry("a.csv", 2, 1000), ShardEntry("b.csv", 1000, 2000)])
+    write_manifest(tmp_path, manifest)
+    path = tmp_path / "manifest.txt"
+    lines = path.read_text().splitlines()
+    assert lines[5].startswith("shard.0001=")  # kind, two params, the count, then the shards
+    lines[5] = line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:6: .*{problem}"):
+        read_manifest(tmp_path)
+    assert main(["report", "--table", "2", "--input", str(tmp_path)]) == 2
+    assert main(["scan", "--kind", "grid", "--dmax", "2000", "--pmax", "100",
+                 "--out", str(tmp_path), "--resume"]) == 2
+
+
+def test_load_records_needs_a_manifest(tmp_path):
+    with pytest.raises(IncompleteScanError, match="no manifest"):
+        load_records(tmp_path)
+    with pytest.raises(IncompleteScanError, match="no manifest"):
+        load_records(tmp_path, allow_partial=True)
+
+
+def test_write_scan_resume_reproduces_the_scan(tmp_path):
+    # three grid blocks; the resume recomputes the one whose shard was deleted
+    plan = scan_plan("grid", dmax=2100, pmax=20)
+    out = tmp_path / "scan"
+    total = write_scan(plan, out)
+    assert total == len(load_records(out)) > 0
+    fresh = {p.name: p.read_bytes() for p in out.iterdir()}
+    (out / read_manifest(out).shards[1].name).unlink()
+    assert write_scan(plan, out, resume=True) == total
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == fresh
+    assert write_scan(plan, out, resume=True) == total  # nothing left to compute
 
 
 # the params of the one-shard grid scans over D in [2, 10) below
