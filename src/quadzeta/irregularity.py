@@ -22,8 +22,8 @@ is v_p(N(n)) - v_p(D), v_p(zeta_D(1-n)) adds v_p(B_n), and one reader
 (_valuations) takes every valuation off the residues; only a residue that
 is exactly 0 is recomputed at a deeper prime power.  One threshold step
 (_records) turns valuations into the hit columns of an IndexColumns, the
-one form every scan returns.  The exact-rational loops (_exact_hits)
-remain as test oracles.
+one form every scan returns and the survey, stats and shards take.  The
+exact-rational loops (_exact_hits) remain as test oracles.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ import numpy as np
 
 from .bernoulli import _np_safe, _numerator_residues, bernoulli_residues_mod
 from .lvalues import (
+    RIEMANN_RECIPROCAL,
+    SIEGEL_DENOMINATOR,
     l_chi_exact,
     siegel_divisor_sums,
     siegel_divisor_sums_mod,
@@ -157,13 +159,6 @@ class IndexColumns:
 
 
 _COLUMNS = ("discriminant", "prime", "delta", "index", "two_m", "valuation")
-
-
-def as_columns(records: IndexColumns | Iterable[IndexRecord]) -> IndexColumns:
-    """IndexColumns as given; a list of chi records converted once."""
-    if isinstance(records, IndexColumns):
-        return records
-    return IndexColumns.from_records(list(records))
 
 
 def _delta(d, p: int):
@@ -395,27 +390,24 @@ def compute_table3_block(
 ) -> IndexColumns:
     """Rows over [d_lo, d_hi) via the divisor-sum route; primes lie within {3, 5}.
 
-    Needs only v_3 and v_5 of the two divisor sums: with S_k(D) denoting
-    sum_b sigma_k((D-b^2)/4), the tested values are L(-1) = -S_1(D)/5 and,
-    for p = 5, L(-3) = S_3(D).  The sigma tables reach at least (d_hi - 1)/4;
-    sigma3 is needed only for p = 5.  One pass gives S_1 exactly (it stays
-    far inside int64 below 10^6), which serves both primes, and S_3 mod
-    5^_TABLE3_CAP[5].
+    Siegel's formula gives L(1-2m, chi_D) = S_m(D) * RIEMANN_RECIPROCAL[m] /
+    SIEGEL_DENOMINATOR[m], with S_m(D) = sum_b sigma_{2m-1}((D-b^2)/4), so
+    the column of each tested m (2m <= p - 1) is v_p(S_m) plus v_p of that
+    constant ratio.  The sigma tables reach at least (d_hi - 1)/4; sigma3 is
+    needed only for p = 5.  One pass gives S_1 exactly, for both primes, and
+    S_3 mod 5^_TABLE3_CAP[5].
     """
+    sigmas = {1: sigma1, 2: sigma3}
     wanted = [(1, sigma1, None)]
     if 5 in primes:
         wanted.append((2, sigma3, 5**_TABLE3_CAP[5]))
     discs, sums = siegel_divisor_sums_mod(d_lo, d_hi, wanted)
     by_prime = []
     for p in primes:
-        v_s1 = _divisor_sum_valuations(sums[:, 0], discs, sigma1, p)
-        if p == 3:
-            valuation = v_s1[:, None]  # v_3(L(-1)) = v_3(S_1)
-        else:
-            # v_5(L(-1)) = v_5(S_1) - 1 (at D = 5, the tested 5 * L(-1) has
-            # v_5(S_1)), and v_5(L(-3)) = v_5(S_3)
-            v_s3 = _divisor_sum_valuations(sums[:, 1], discs, sigma3, 5)
-            valuation = np.stack([v_s1 - 1, v_s3], axis=1)
+        valuation = np.stack([
+            _divisor_sum_valuations(sums[:, m - 1], discs, sigmas[m], p)
+            + p_adic_valuation(Fraction(RIEMANN_RECIPROCAL[m], SIEGEL_DENOMINATOR[m]), p)
+            for m in range(1, (p + 1) // 2)], axis=1)
         by_prime.append(_records(valuation, discs, p))
     return _by_pair(by_prime)
 
@@ -565,12 +557,9 @@ def scan_fixed_primes(
     return IndexColumns.concatenate(list(plan.run(workers)))
 
 
-def high_valuation_survey(
-    records: IndexColumns | Iterable[IndexRecord], p: int
-) -> tuple[int, list[tuple[int, int]]]:
+def high_valuation_survey(cols: IndexColumns, p: int) -> tuple[int, list[tuple[int, int]]]:
     """Deepest hit valuation at the odd prime p, with every (D, 2m) attaining it."""
     validate_odd_prime(p)
-    cols = as_columns(records)
     at_p = cols.hit_rows(cols.prime == p)
     best = int(cols.valuation[at_p].max(initial=0))
     if best <= 0:

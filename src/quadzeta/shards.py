@@ -9,11 +9,11 @@ index 0.  Irregular pairs use the schema p,two_m,D,valuation.  Shards are
 written atomically (temp file then rename) so an interrupted scan never
 leaves a truncated shard behind; the manifest records one shard per line
 with its digest and completion flag.  This module owns the scan directory:
-write_scan names, writes and resumes the shards of an irregularity.ScanPlan,
-and load_records reads them back.  Shards are written from IndexColumns,
-as the block kernels return them, and read back as IndexColumns: the
-reader validates whole columns at once, and load_records joins the shards
-of a scan into one IndexColumns.
+write_scan names, writes and resumes the shards of an irregularity.ScanPlan
+(and refuses a directory of another scan), and load_records reads them
+back.  The writers take IndexColumns only, as the block kernels return
+them, and shards are read back as IndexColumns: the reader validates whole
+columns at once, and load_records joins a scan's shards into one.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .irregularity import IndexColumns, IndexRecord, ScanPlan, as_columns, scan_range
+from .irregularity import IndexColumns, ScanPlan, scan_range
 
 INDEX_HEADER = ["D", "p", "delta", "index", "hits"]
 PAIR_HEADER = ["p", "two_m", "D", "valuation"]
@@ -50,11 +50,10 @@ def _atomic_write(path: Path, write_body) -> None:
     os.replace(tmp, path)
 
 
-def write_index_shard(path: Path, records: IndexColumns | Iterable[IndexRecord]) -> None:
+def write_index_shard(path: Path, cols: IndexColumns) -> None:
     """Write the bytes csv.writer would (no field needs quoting, and every
     row ends in CRLF), formatted from the columns as one string; most rows
     have no hits, so the hits field is joined only on those that do."""
-    cols = as_columns(records)
     hits = iter([f"{m}:{v}" for m, v in zip(cols.two_m.tolist(), cols.valuation.tolist())])
 
     def body(fh):
@@ -305,19 +304,22 @@ def write_scan(plan: ScanPlan, out: Path, workers: int = 1, resume: bool = False
     A block's shard is written and digested where the block is computed (a
     pool worker, or this process at one worker); this process writes the
     manifest before the blocks and after each one, in block order, so a
-    shard is done only once the manifest says so.  resume keeps each
-    complete shard of a manifest already in out whose file matches its
-    digest; that manifest must name the same kind and params (ValueError
-    otherwise).  The bytes are those of a fresh run at any worker count.
-    A worker count below 1 raises ValueError before out is created.
+    shard is done only once the manifest says so.  A manifest already in
+    out must name the same kind and params, and one that does not, or
+    cannot be parsed, raises ValueError before anything is written; so a
+    scan never leaves another scan's shards behind.  resume keeps each
+    complete shard of that manifest whose file matches its digest; without
+    it the scan is rewritten in place.  The bytes are those of a fresh run
+    at any worker count.  A worker count below 1 raises ValueError before
+    out is created.
     """
     entries = [ShardEntry(_shard_name(plan.kind, lo, hi), lo, hi) for lo, hi in plan.blocks]
     manifest = ScanManifest(plan.kind, plan.params, entries)
     total = 0  # records: those of the kept shards, then those written here
-    if resume and (out / MANIFEST_NAME).exists():
-        previous = read_manifest(out)
-        if (previous.kind, previous.params) != (manifest.kind, manifest.params):
-            raise ValueError(f"--resume: {out} holds {_describe(previous)}, not {_describe(manifest)}")
+    previous = read_manifest(out) if (out / MANIFEST_NAME).exists() else None
+    if previous and (previous.kind, previous.params) != (manifest.kind, manifest.params):
+        raise ValueError(f"{out} holds {_describe(previous)}, not {_describe(manifest)}")
+    if resume and previous:
         done = {(s.lo, s.hi): s for s in previous.shards if s.complete}
         for entry in manifest.shards:
             old = done.get((entry.lo, entry.hi))

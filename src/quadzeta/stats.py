@@ -14,11 +14,10 @@ The chi-squared statistic defaults to the grouping {0}, {1}, {2}, {>=3}
 singleton categories.  Significance is the upper-tail probability of the
 chi-squared distribution, Q(df/2, x/2).
 
-The index statistics and the 2m/p ratio report read IndexColumns
-(np.bincount on the index column, counts per prime, distinct
-discriminants, the hits' two_m over their rows' primes); a list of
-IndexRecord enters through irregularity.as_columns.  Expected counts stay
-exact Fraction sums.
+The index statistics and the 2m/p ratio report take IndexColumns, the
+form scans return and load_records reads (np.bincount on the index
+column, counts per prime, distinct discriminants, the hits' two_m over
+their rows' primes).  Expected counts stay exact Fraction sums.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .irregularity import IndexColumns, IndexRecord, as_columns
+from .irregularity import IndexColumns
 
 
 def limit_fraction(r: int) -> float:
@@ -180,21 +179,19 @@ def _table(
     )
 
 
-def observed_counts(
-    records: IndexColumns | Iterable[IndexRecord], r_max: int | None = None
-) -> list[int]:
+def observed_counts(cols: IndexColumns, r_max: int | None = None) -> list[int]:
     """Records per index value 0, 1, ..., at least up to r_max."""
-    return np.bincount(as_columns(records).index, minlength=(r_max or 0) + 1).tolist()
+    return np.bincount(cols.index, minlength=(r_max or 0) + 1).tolist()
 
 
-def expected_counts_exact(records: IndexColumns | Iterable[IndexRecord], r_max: int) -> list[float]:
+def expected_counts_exact(cols: IndexColumns, r_max: int) -> list[float]:
     """Sum of per-record binomial probabilities with T = (p-1)/2 trials.
 
     Uses the uniform trial count for every record, including D = p; that is
     the convention the reference tabulations follow.
     """
     totals = [Fraction(0)] * (r_max + 1)
-    primes, counts = np.unique(as_columns(records).prime, return_counts=True)
+    primes, counts = np.unique(cols.prime, return_counts=True)
     for p, count in zip(primes.tolist(), counts.tolist()):
         probs = exact_index_distribution(p)
         for r in range(min(r_max + 1, len(probs))):
@@ -209,9 +206,7 @@ LIMIT_TAIL = 3
 EXACT_PRIME_BOUND = 100
 
 
-def build_distribution(
-    records: IndexColumns | Iterable[IndexRecord], prediction: str = "limit"
-) -> DistributionTable:
+def build_distribution(cols: IndexColumns, prediction: str = "limit") -> DistributionTable:
     """Distribution table for a homogeneous record stream.
 
     prediction "limit" uses the limiting fractions over the categories
@@ -220,7 +215,6 @@ def build_distribution(
     singletons up to the largest trial count (p - 1)/2, and raises
     ValueError on a prime above EXACT_PRIME_BOUND.
     """
-    cols = as_columns(records)
     if not len(cols):
         return _table("empty", 0, (), (), (), ())
     size = len(cols)
@@ -264,9 +258,7 @@ class AggregateReport:
     discriminants: int
 
 
-def aggregate_across_discriminants(
-    records: IndexColumns | Iterable[IndexRecord], prediction: str = "limit"
-) -> AggregateReport:
+def aggregate_across_discriminants(cols: IndexColumns, prediction: str = "limit") -> AggregateReport:
     """Apply the averaged-counts methodology next to the plain totals.
 
     The averages table divides every observed and expected count by the
@@ -274,7 +266,6 @@ def aggregate_across_discriminants(
     means.  The result is a heuristic: dividing by a constant just rescales
     the statistic, so treat its significance as descriptive only.
     """
-    cols = as_columns(records)
     totals = build_distribution(cols, prediction)
     n_disc = _distinct(cols.discriminant)
     if n_disc == 0:
@@ -328,13 +319,10 @@ class UniformityReport:
     ks_statistic: float
 
 
-def ratio_uniformity_report(
-    records: IndexColumns | Iterable[IndexRecord], bins: int = 10
-) -> UniformityReport:
+def ratio_uniformity_report(cols: IndexColumns, bins: int = 10) -> UniformityReport:
     """Equal-width-bin chi-squared and Kolmogorov-Smirnov distance for each hit's 2m/p."""
     if bins < 2:
         raise ValueError("need at least two bins")
-    cols = as_columns(records)
     if not len(cols.two_m):
         raise ValueError("no irregular pairs supplied")
     values = np.sort(cols.two_m / cols.hit_rows(cols.prime))

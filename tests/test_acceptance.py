@@ -13,8 +13,10 @@ the computed values.
 import collections
 import time
 
+import numpy as np
+
 from quadzeta.bernoulli import bernoulli_exact
-from quadzeta.irregularity import high_valuation_survey, scan_fixed_discriminant
+from quadzeta.irregularity import IndexColumns, high_valuation_survey, scan_fixed_discriminant
 from quadzeta.lvalues import (
     l_chi_exact,
     l_chi_mod,
@@ -77,7 +79,7 @@ def test_criterion_1_table1_counts_and_predictions(table1_records, scan_dirs, ca
 
 def test_criterion_2_table1_chi_squared_series(table1_records):
     for cutoff, (stat_ref, sig_ref) in TABLE1_SERIES.items():
-        sub = [r for r in table1_records if r.prime < cutoff]
+        sub = table1_records.take(np.flatnonzero(table1_records.prime < cutoff))
         table = build_distribution(sub, "limit")
         assert abs(table.chi_squared - stat_ref) <= 0.01, cutoff
         assert abs(table.significance - sig_ref) <= 0.002, cutoff
@@ -85,13 +87,13 @@ def test_criterion_2_table1_chi_squared_series(table1_records):
 
 def test_criterion_3_four_discriminant_fixture():
     per_d_reference = {5: 3.32, 8: 1.74, 12: 1.15, 13: 2.54}
-    records = []
+    parts = []
     for d, stat_ref in per_d_reference.items():
         recs = scan_fixed_discriminant(d, 1000)
         table = build_distribution(recs, "limit")
         assert abs(table.chi_squared - stat_ref) <= 0.01, d
-        records.extend(recs)
-    report = aggregate_across_discriminants(records, "limit")
+        parts.append(recs)
+    report = aggregate_across_discriminants(IndexColumns.concatenate(parts), "limit")
     assert abs(report.totals.chi_squared - 3.53) <= 0.01
     assert abs(report.totals.significance - 0.316) <= 0.002
     assert abs(report.averages.chi_squared - 0.884) <= 0.01

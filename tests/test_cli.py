@@ -212,6 +212,33 @@ def test_resume_with_other_parameters_is_refused(capsys, tmp_path):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+FIXED_200 = ["scan", "--kind", "fixed-disc", "--disc", "5", "--pmax", "200"]
+
+
+@pytest.mark.parametrize("first, second", [
+    (SMALL_GRID, FIXED_200),
+    (FIXED_200, ["scan", "--kind", "fixed-disc", "--disc", "5", "--pmax", "300"]),
+], ids=["other-kind", "other-params"])
+def test_scan_into_a_directory_of_another_scan_is_refused(capsys, tmp_path, first, second):
+    # a scan would leave the other scan's shards behind, named by no manifest
+    out = tmp_path / "taken"
+    assert main([*first, "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    code, _, err = run(capsys, *second, "--out", str(out))
+    assert code == 2 and err.startswith(f"error: {out} holds a "), err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # the same scan again, without --resume, rewrites the directory in place
+    assert main([*first, "--out", str(out)]) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_scan_stops_at_a_manifest_it_cannot_parse(capsys, tmp_path):
+    (tmp_path / MANIFEST_NAME).write_text("kind=grid\nshard.0000=x.csv lo=two\n")
+    code, _, err = run(capsys, *SMALL_GRID, "--out", str(tmp_path))
+    assert code == 2 and f"{tmp_path / MANIFEST_NAME}:2: " in err, err
+    assert [p.name for p in tmp_path.iterdir()] == [MANIFEST_NAME]
+
+
 def test_report_requires_complete_manifest(capsys, tmp_path, small_grid):
     out = tmp_path / "partial"
     assert main(["scan", "--kind", "grid", "--dmax", "300", "--pmax", "20",

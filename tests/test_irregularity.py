@@ -220,6 +220,20 @@ def test_table3_block_is_one_divisor_sum_pass(monkeypatch):
     assert cols == compute_grid_block(2, 30_000, (3, 5))
 
 
+def test_table3_block_reads_the_constants_the_siegel_gate_checks(monkeypatch):
+    # L(-1) = S_1 * RIEMANN_RECIPROCAL[1] / SIEGEL_DENOMINATOR[1]: a wrong constant
+    # moves v_5(L(-1)) in the block, and the gate refuses the million plan
+    from quadzeta import lvalues
+
+    monkeypatch.setitem(lvalues.RIEMANN_RECIPROCAL, 1, -60)
+    cols = compute_table3_block(2, 2000, (5,), divisor_sigma_sieve(1, 499),
+                                divisor_sigma_sieve(3, 499))
+    assert cols != compute_grid_block(2, 2000, (5,))
+    monkeypatch.setattr(lvalues, "_gate_validated", set())
+    with pytest.raises(ArithmeticError):
+        scan_plan("million", dmax=20_000)
+
+
 _BLOCK_SIGMA = (divisor_sigma_sieve(1, 4300), divisor_sigma_sieve(3, 4300))
 
 
@@ -265,7 +279,7 @@ def test_high_valuation_survey():
     for d, two_m in attain:
         rec = next(r for r in recs if r.discriminant == d and r.prime == 3)
         assert (two_m, best) in rec.hits
-    assert high_valuation_survey([], 3) == (0, [])
+    assert high_valuation_survey(IndexColumns.from_records([]), 3) == (0, [])
 
 
 def test_irregular_pairs_flattening():
@@ -314,6 +328,21 @@ def test_only_the_row_view_and_single_pair_indices_build_records():
                 callers.append((path.name, owner.get(node)))
     assert sorted(callers) == [("irregularity.py", "__iter__"),
                                 ("irregularity.py", "classical_irregularity_index")]
+
+
+def test_stats_and_shards_take_columns_only():
+    # IndexColumns is the one record form at the library boundary; IndexRecord
+    # is the single-pair result and the row view, and nothing converts lists
+    package = Path(quadzeta.__file__).parent
+    for name in ("stats.py", "shards.py"):
+        tree = ast.parse((package / name).read_text())
+        names = {getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+        assert not names & {"IndexRecord", "as_columns"}, name
+    tree = ast.parse((package / "irregularity.py").read_text())
+    assert "as_columns" not in {node.name for node in ast.walk(tree)
+                                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
 
 
 def test_take_gathers_rows_with_their_hits():

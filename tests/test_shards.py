@@ -109,7 +109,7 @@ def _index_records(draw):
 @example([])
 def test_index_shard_round_trip(tmp_path, records):
     path = tmp_path / "shard.csv"
-    write_index_shard(path, records)
+    write_index_shard(path, IndexColumns.from_records(records))
     columns = read_index_shard(path)
     assert list(columns) == records == _oracle_read(path)
     assert _same_columns(columns, IndexColumns.from_records(records))
@@ -260,7 +260,7 @@ _GRID_PARAMS = {"dmax": "10", "pmax": "100"}
 
 def test_load_records_requires_completion(tmp_path):
     shard = tmp_path / "s.csv"
-    write_index_shard(shard, _records())
+    write_index_shard(shard, IndexColumns.from_records(_records()))
     manifest = ScanManifest(
         kind="grid",
         params=_GRID_PARAMS,
@@ -277,7 +277,7 @@ def test_load_records_requires_completion(tmp_path):
 
 def test_load_records_checks_digest(tmp_path):
     shard = tmp_path / "s.csv"
-    write_index_shard(shard, _records())
+    write_index_shard(shard, IndexColumns.from_records(_records()))
     manifest = ScanManifest(
         kind="grid", params=_GRID_PARAMS, shards=[ShardEntry("s.csv", 2, 10, "0" * 64, True)]
     )
@@ -288,7 +288,7 @@ def test_load_records_checks_digest(tmp_path):
 
 def test_load_records_requires_digest_of_complete_shard(tmp_path):
     shard = tmp_path / "s.csv"
-    write_index_shard(shard, _records())
+    write_index_shard(shard, IndexColumns.from_records(_records()))
     manifest = ScanManifest(kind="grid", params=_GRID_PARAMS,
                             shards=[ShardEntry("s.csv", 2, 10, "", True)])
     write_manifest(tmp_path, manifest)
@@ -306,7 +306,7 @@ def _complete_scan(directory, kind, lo, hi, lines):
 
 
 def test_load_records_rejects_rows_out_of_order(tmp_path):
-    write_index_shard(tmp_path / "s.csv", _records())
+    write_index_shard(tmp_path / "s.csv", IndexColumns.from_records(_records()))
     header, *rows = (tmp_path / "s.csv").read_text().splitlines()
     rows[1], rows[2] = rows[2], rows[1]
     _complete_scan(tmp_path, "grid", 2, 10, [header, *rows])
@@ -317,7 +317,7 @@ def test_load_records_rejects_rows_out_of_order(tmp_path):
 @pytest.mark.parametrize("kind, lo, hi", [("grid", 2, 8), ("fixed-disc", 3, 7)])
 def test_load_records_rejects_records_outside_the_shard(tmp_path, kind, lo, hi):
     # D = 8 lies outside the grid shard [2, 8), p = 7 outside the fixed-disc shard [3, 7)
-    write_index_shard(tmp_path / "s.csv", _records())
+    write_index_shard(tmp_path / "s.csv", IndexColumns.from_records(_records()))
     _complete_scan(tmp_path, kind, lo, hi, (tmp_path / "s.csv").read_text().splitlines())
     with pytest.raises(ValueError, match="outside"):
         load_records(tmp_path)
@@ -334,7 +334,8 @@ def test_load_records_requires_a_partition(tmp_path, listed):
     for i, (lo, hi) in enumerate([(3, 10), (10, 20), (20, 30)]):
         path = tmp_path / f"s{i}.csv"
         primes = [p for p in (3, 5, 7, 11, 13, 17, 19, 23, 29) if lo <= p < hi]
-        write_index_shard(path, [IndexRecord(5, p, p - 1, "chi", ()) for p in primes])
+        write_index_shard(path, IndexColumns.from_records(
+            [IndexRecord(5, p, p - 1, "chi", ()) for p in primes]))
         entries.append(ShardEntry(path.name, lo, hi, file_digest(path), True))
     write_manifest(tmp_path, ScanManifest("fixed-disc", params, entries))
     assert len(load_records(tmp_path)) == 9
@@ -353,7 +354,7 @@ def test_load_records_requires_a_partition(tmp_path, listed):
 def test_load_records_requires_the_scan_end(tmp_path, kind, params, problem):
     # a scan over [start, 2000) of which the manifest lists only the shard up
     # to 1000; without an end in the params the scan range has no end to check
-    write_index_shard(tmp_path / "a.csv", _records())
+    write_index_shard(tmp_path / "a.csv", IndexColumns.from_records(_records()))
     lo = 3 if kind == "fixed-disc" else 2
     entry = ShardEntry("a.csv", lo, 1000, file_digest(tmp_path / "a.csv"), True)
     manifest = ScanManifest(kind, params, [entry])
@@ -378,5 +379,5 @@ def test_index_shard_rejects_inconsistent_rows(tmp_path, row, problem):
 
 def test_atomic_write_leaves_no_temp(tmp_path):
     path = tmp_path / "x.csv"
-    write_index_shard(path, _records())
+    write_index_shard(path, IndexColumns.from_records(_records()))
     assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]

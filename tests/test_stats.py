@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadzeta import stats
-from quadzeta.irregularity import IndexRecord
+from quadzeta.irregularity import IndexColumns, IndexRecord
 from quadzeta.stats import (
     aggregate_across_discriminants,
     build_distribution,
@@ -128,7 +128,7 @@ def test_chi_squared_statistic_basics():
 
 def test_build_distribution_limit_mode():
     records = [_record(5, p, 0) for p in (3, 7, 11)] + [_record(5, 13, 1)]
-    table = build_distribution(records, "limit")
+    table = build_distribution(IndexColumns.from_records(records), "limit")
     assert table.population == "primes-fixed-D"
     assert table.size == 4
     assert table.observed[0] == 3 and table.observed[1] == 1
@@ -138,7 +138,7 @@ def test_build_distribution_limit_mode():
 
 def test_build_distribution_exact_mode():
     records = [_record(d, 3, 0, delta=2) for d in (5, 8, 12)] + [_record(13, 5, 1, delta=4)]
-    table = build_distribution(records, "exact")
+    table = build_distribution(IndexColumns.from_records(records), "exact")
     # categories padded to the largest trial count (T = 2 at p = 5)
     assert len(table.expected) == 3
     assert abs(table.expected[0] - (3 * 2 / 3 + 16 / 25)) < 1e-12
@@ -148,16 +148,16 @@ def test_build_distribution_exact_mode():
 def test_exact_prediction_stops_at_table_2_primes():
     # the exact binomials' common denominator grows with every distinct prime
     below = [_record(5, p, 0) for p in (3, 97)]
-    assert build_distribution(below, "exact").size == 2
+    assert build_distribution(IndexColumns.from_records(below), "exact").size == 2
     with pytest.raises(ValueError, match="largest prime here is 101"):
-        build_distribution(below + [_record(5, 101, 0)], "exact")
+        build_distribution(IndexColumns.from_records(below + [_record(5, 101, 0)]), "exact")
     with pytest.raises(ValueError, match="largest prime here is 2003"):
-        aggregate_across_discriminants([_record(8, 2003, 1)], "exact")
-    assert build_distribution([_record(5, 2003, 1)], "limit").size == 1
+        aggregate_across_discriminants(IndexColumns.from_records([_record(8, 2003, 1)]), "exact")
+    assert build_distribution(IndexColumns.from_records([_record(5, 2003, 1)]), "limit").size == 1
 
 
 def test_build_distribution_empty():
-    table = build_distribution([], "limit")
+    table = build_distribution(IndexColumns.from_records([]), "limit")
     assert table.significance == 1.0
     assert table.size == 0
 
@@ -165,7 +165,7 @@ def test_build_distribution_empty():
 def test_aggregate_identities():
     records = [_record(5, p, i % 3) for i, p in enumerate((3, 5, 7, 11, 13, 17))]
     records += [_record(8, p, (i + 1) % 2) for i, p in enumerate((3, 5, 7, 11, 13, 17))]
-    report = aggregate_across_discriminants(records, "limit")
+    report = aggregate_across_discriminants(IndexColumns.from_records(records), "limit")
     assert report.discriminants == 2
     for avg, tot in zip(report.averages.observed, report.totals.observed):
         assert avg * 2 == tot  # exact, Fraction arithmetic
@@ -174,7 +174,7 @@ def test_aggregate_identities():
 
 def test_aggregate_single_discriminant():
     records = [_record(5, p, 0) for p in (3, 7, 11, 13)]
-    report = aggregate_across_discriminants(records, "limit")
+    report = aggregate_across_discriminants(IndexColumns.from_records(records), "limit")
     assert report.discriminants == 1
     assert list(report.averages.observed) == list(report.totals.observed)
     assert report.averages.chi_squared == pytest.approx(report.totals.chi_squared, rel=1e-12)
@@ -202,18 +202,19 @@ def test_residue_class_equal_split_is_zero():
 
 
 def test_ratio_uniformity_report():
-    pairs = [IndexRecord(5, 37, 36, "chi", ((32, 1),))]
+    pairs = IndexColumns.from_records([IndexRecord(5, 37, 36, "chi", ((32, 1),))])
     rep = ratio_uniformity_report(pairs, bins=2)
     u = 32 / 37
     assert abs(rep.ks_statistic - max(u, 1 - u)) < 1e-12
     with pytest.raises(ValueError):
-        ratio_uniformity_report([], bins=2)
+        ratio_uniformity_report(IndexColumns.from_records([]), bins=2)
     with pytest.raises(ValueError):
         ratio_uniformity_report(pairs, bins=1)
 
 
 def test_ratio_uniformity_bin_centers_zero_statistic():
-    pairs = [IndexRecord(5, 100, 99, "chi", tuple((n, 1) for n in (10, 30, 50, 70, 90)))]
+    pairs = IndexColumns.from_records(
+        [IndexRecord(5, 100, 99, "chi", tuple((n, 1) for n in (10, 30, 50, 70, 90)))])
     rep = ratio_uniformity_report(pairs, bins=5)
     assert rep.chi_squared == 0.0
     assert rep.histogram == (1, 1, 1, 1, 1)
@@ -249,7 +250,7 @@ def _record_lists(draw):
 @settings(max_examples=80, deadline=None)
 @given(_record_lists(), st.sampled_from(["limit", "exact"]))
 def test_every_table_tests_its_grouped_rows(records, prediction):
-    report = aggregate_across_discriminants(records, prediction)
+    report = aggregate_across_discriminants(IndexColumns.from_records(records), prediction)
     for table in (report.totals, report.averages):
         grouped = chi_squared_statistic(table.grouped_observed, table.grouped_expected,
                                         tail_from=None)
@@ -260,8 +261,9 @@ def test_every_table_tests_its_grouped_rows(records, prediction):
 
 
 def test_empty_and_one_class_tables():
-    for table in (build_distribution([], "exact"),
-                  aggregate_across_discriminants([], "limit").averages):
+    empty = IndexColumns.from_records([])
+    for table in (build_distribution(empty, "exact"),
+                  aggregate_across_discriminants(empty, "limit").averages):
         assert (table.significance, table.df, table.chi_squared) == (1.0, 0, 0.0)
         assert table.grouped_labels == ()
     # 7 and 11 are both 3 mod 4: one class leaves no degree of freedom
