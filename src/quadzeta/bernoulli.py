@@ -249,16 +249,14 @@ def _numerator_residues(
     """N(n) = D B(n, chi_D) mod p^e for each row and each even n <= p - 1 in two_ms.
 
     table holds one period of chi_D per row, zero beyond a = D: character_values(D)
-    for a single D, or a block of them from irregularity._period_table.
+    for a single D, or a block of them from numtheory.period_table.
     """
     sums = _twisted_sums(table, p, e)
     return _egf_numerators(discs, p, p**e, sums, two_ms)
 
 
-# Exact power sums grow on demand per discriminant (kept with the character
-# values they extend from) and are reused heavily by the cross-validation
-# gates: an LRU over discriminants, sized above the 302 fundamental D < 1000
-# of validate_siegel_gate so the gate never recomputes.
+# Exact power sums grow on demand per D, kept with the character values they extend
+# from: an LRU sized above the 302 fundamental D < 1000 that criterion 7's m-outer loop revisits.
 _EXACT_SUMS_CACHE_SIZE = 512
 _exact_sums_cache: OrderedDict[int, tuple[np.ndarray, list[int]]] = OrderedDict()
 
@@ -280,22 +278,23 @@ def _exact_power_sums(d: int, k_max: int) -> list[int]:
     return sums
 
 
+def _bernoulli_from_sums(d: int, n: int, sums: Sequence[int]) -> Fraction:
+    """B(n, chi_d) by the sum above, from sums[k] = S_k for k <= n (the j = n term is 0)."""
+    total = Fraction(0)
+    for j in range(n):
+        bj = bernoulli_exact(j)
+        if bj:
+            total += bj * (math.comb(n, j) * d**j * sums[n - j])
+    return total / d
+
+
 @lru_cache(maxsize=65536)
 def generalized_bernoulli_exact(d: int, n: int) -> Fraction:
     """B(n, chi_d) as an exact rational."""
     validate_fundamental_discriminant(d)
     if n < 1:
         raise ValueError("index must be >= 1")
-    sums = _exact_power_sums(d, n)
-    total = Fraction(0)
-    # j = n contributes nothing (S_0 = 0); odd j > 1 have B_j = 0.
-    for j in range(n):
-        if j % 2 == 1 and j > 1:
-            continue
-        bj = bernoulli_exact(j)
-        if bj:
-            total += math.comb(n, j) * bj * d**j * sums[n - j]
-    return total / d
+    return _bernoulli_from_sums(d, n, _exact_power_sums(d, n))
 
 
 def _check_modular(d: int, p: int) -> None:

@@ -48,12 +48,12 @@ from .lvalues import (
 )
 from .numtheory import (
     SigmaTable,
-    character_table,
     character_values,
     divisor_sigma_sieve,
     enumerate_fundamental_discriminants,
     odd_primes_up_to,
     p_adic_valuation,
+    period_table,
     validate_fundamental_discriminant,
     validate_odd_prime,
 )
@@ -214,14 +214,6 @@ def _valuations(residues: np.ndarray, p: int, e: int, deeper: Callable[..., int]
     return valuation
 
 
-def _period_table(discs: Sequence[int]) -> np.ndarray:
-    """chi_D(a) for 0 <= a <= max(discs), zeroed beyond a = D: one period per row."""
-    width = discs[-1] + 1
-    table = character_table(discs, width)
-    table[np.arange(width) > np.asarray(discs)[:, None]] = 0
-    return table
-
-
 def _chi_valuations(table: np.ndarray, discs: Sequence[int], p: int) -> np.ndarray:
     """v_p(L(1 - n, chi_D)) = v_p(N(n)) - v_p(D) for each row of table (one
     period of chi_D each) and each even n = 2, 4, ..., p - 1."""
@@ -363,7 +355,7 @@ def compute_grid_block(d_lo: int, d_hi: int, primes: tuple[int, ...]) -> IndexCo
     step = max(1, _TABLE_ENTRIES // d_hi)
     for lo in range(0, len(discs), step):
         group = discs[lo : lo + step]
-        table = _period_table(group)
+        table = period_table(group)
         parts.extend(_records(_chi_valuations(table, group, p), group, p) for p in primes)
     return _by_pair(parts)
 
@@ -481,7 +473,7 @@ def scan_plan(kind: str, **given) -> ScanPlan:
                 defaults to 2.
     million     dmax, and primes within {3, 5} (default 3, 5): the same
                 range by the divisor-sum route.  Planning runs the Siegel
-                gate and builds the sigma tables the blocks share.
+                gate (one int64 product) and builds the sigma tables the blocks share.
 
     A parameter given as None counts as absent; a missing or foreign one
     raises ValueError, as does a scan range with no block or an empty

@@ -25,8 +25,8 @@ slice per b into a contiguous buffer per residue class of D mod 4.  The
 exact sums run the 32-bit halves of the sigma values as two columns; a
 Table 3 block runs S_1 once, unreduced (exact in int64, and read for both
 v_3 and v_5), beside S_3 mod 5^13.  The coefficients are quarantined behind
-an exact-equality gate against the twisted-Bernoulli route; call
-validate_siegel_gate() before trusting a large batch run.
+a gate against the twisted-Bernoulli route, over power sums of the period
+table; call validate_siegel_gate() before trusting a large batch run.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .bernoulli import (
+    _bernoulli_from_sums,
     _check_modular,
     _numerator_residues,
     bernoulli_exact,
@@ -49,6 +50,7 @@ from .numtheory import (
     character_values,
     divisor_sigma_sieve,
     enumerate_fundamental_discriminants,
+    period_table,
 )
 
 # zeta_D(1-2m) = (sum of divisor sums) / SIEGEL_DENOMINATOR[m]
@@ -221,25 +223,24 @@ def l_from_siegel(d: int, m: int, zd: Fraction) -> Fraction:
     return RIEMANN_RECIPROCAL[m] * zd
 
 
-_gate_validated: set[int] = set()
-
-
 def validate_siegel_gate(limit: int = 1000) -> None:
-    """Exact-equality gate: divisor-sum route vs twisted-Bernoulli route.
-
-    Checks every fundamental D < limit for both m = 1 and m = 2; raises
-    ArithmeticError on the first mismatch.  Must pass before any large
-    batch run is trusted.
-    """
-    if limit in _gate_validated:
-        return
+    """Exact gate over every fundamental D < limit and m = 1, 2: Siegel's zeta_D =
+    S_m / SIEGEL_DENOMINATOR[m] must equal zeta(1-2m) L and give L back by l_from_siegel,
+    where L = -B(2m, chi_D)/(2m) comes from the power sums sum_{a <= D} chi(a) a^j, j <= 4,
+    of one int64 product of the period table.  A mismatch raises ArithmeticError naming D, m."""
+    # every power sum is at most sum_{a < limit} a^4 < limit^5 / 5, exact in int64
+    if limit < 6 or limit**5 >= 5 * 2**63:
+        raise ValueError(f"gate limit {limit} leaves no discriminant or overflows int64")
+    discs = enumerate_fundamental_discriminants(2, limit)
+    powers = np.arange(discs[-1] + 1, dtype=np.int64)[:, None] ** np.arange(5)
+    power_sums = (period_table(discs) @ powers).tolist()
     for m in (1, 2):
-        for d, zd in siegel_batch(m, 2, limit):
-            expected = zeta_d_exact(d, m)
-            if zd != expected:
+        sigma = divisor_sigma_sieve(2 * m - 1, (limit - 1) // 4)
+        zeta = riemann_zeta_neg(m)
+        for d, s, sums in zip(discs, siegel_divisor_sums(m, 2, limit, sigma)[1], power_sums):
+            zd = Fraction(s, SIEGEL_DENOMINATOR[m])
+            l_value = -_bernoulli_from_sums(d, 2 * m, sums) / (2 * m)
+            if zd != zeta * l_value or l_from_siegel(d, m, zd) != l_value:
                 raise ArithmeticError(
-                    f"divisor-sum route disagrees at D={d}, m={m}: {zd} != {expected}"
+                    f"divisor-sum route disagrees at D={d}, m={m}: zeta_D = {zd}, L = {l_value}"
                 )
-            if l_from_siegel(d, m, zd) != l_chi_exact(d, m):
-                raise ArithmeticError(f"L-value recovery disagrees at D={d}, m={m}")
-    _gate_validated.add(limit)

@@ -278,6 +278,14 @@ def character_table(discs, width: int, spf: np.ndarray | None = None) -> np.ndar
     return table
 
 
+def period_table(discs: list[int]) -> np.ndarray:
+    """chi_D(a) for 0 <= a <= max(discs), zeroed beyond a = D: one period per row."""
+    width = discs[-1] + 1
+    table = character_table(discs, width)
+    table[np.arange(width) > np.asarray(discs)[:, None]] = 0
+    return table
+
+
 def character_values(d: int, spf: np.ndarray | None = None) -> np.ndarray:
     """chi_d(a) for 0 <= a <= d as a read-only int8 array: one row of character_table."""
     vals = character_table([d], d + 1, spf)[0]

@@ -164,7 +164,7 @@ def test_self_conductor_exceptional_denominator():
 def test_exact_sums_cache_is_a_bounded_lru():
     size = bernoulli._EXACT_SUMS_CACHE_SIZE
     gate_discs = enumerate_fundamental_discriminants(2, 1000)
-    assert len(gate_discs) < size  # the Siegel gate never evicts its own entries
+    assert len(gate_discs) < size  # criterion 7's m-outer loop never evicts its own entries
     discs = enumerate_fundamental_discriminants(2, 4000)[: size + 100]
     assert len(discs) == size + 100
     for d in discs:

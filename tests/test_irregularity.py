@@ -229,7 +229,6 @@ def test_table3_block_reads_the_constants_the_siegel_gate_checks(monkeypatch):
     cols = compute_table3_block(2, 2000, (5,), divisor_sigma_sieve(1, 499),
                                 divisor_sigma_sieve(3, 499))
     assert cols != compute_grid_block(2, 2000, (5,))
-    monkeypatch.setattr(lvalues, "_gate_validated", set())
     with pytest.raises(ArithmeticError):
         scan_plan("million", dmax=20_000)
 

@@ -114,6 +114,54 @@ def test_three_path_agreement_gate():
     validate_siegel_gate(1000)
 
 
+@pytest.mark.parametrize("limit", [5, 8566, 10**6])
+def test_siegel_gate_refuses_a_limit_outside_its_int64_bound(limit, monkeypatch):
+    # the power sums are exact in int64 while limit^5 < 5 * 2^63, that is up to
+    # 8565; a limit below 6 has no discriminant to check.  Both are refused
+    # before any table is built.
+    assert 8565**5 < 5 * 2**63 <= 8566**5
+
+    def unreachable(*args):
+        raise AssertionError("the gate built a table for a refused limit")
+
+    monkeypatch.setattr(lvalues, "enumerate_fundamental_discriminants", unreachable)
+    with pytest.raises(ValueError, match=f"gate limit {limit}"):
+        validate_siegel_gate(limit)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_siegel_gate_catches_a_wrong_denominator(m, monkeypatch):
+    monkeypatch.setitem(lvalues.SIEGEL_DENOMINATOR, m, lvalues.SIEGEL_DENOMINATOR[m] + 1)
+    with pytest.raises(ArithmeticError, match=f"at D=5, m={m}:"):
+        validate_siegel_gate(1000)
+
+
+def test_siegel_gate_catches_a_wrong_divisor_sum(monkeypatch):
+    # the last D below the limit, 997, is checked: the period table keeps every
+    # row and is wide enough for the largest D
+    exact = lvalues.siegel_divisor_sums
+
+    def off_by_one(m, lo, hi, sigma):
+        discs, sums = exact(m, lo, hi, sigma)
+        return discs, sums[:-1] + [sums[-1] + 1]
+
+    monkeypatch.setattr(lvalues, "siegel_divisor_sums", off_by_one)
+    assert enumerate_fundamental_discriminants(2, 1000)[-1] == 997
+    with pytest.raises(ArithmeticError, match="at D=997, m=1:"):
+        validate_siegel_gate(1000)
+
+
+def test_siegel_gate_calls_no_exact_oracle():
+    # the gate reads the power sums of one int64 product; the per-D Fraction
+    # routes stay as its test oracles
+    oracles = {"zeta_d_exact", "l_chi_exact", "generalized_bernoulli_exact", "siegel_batch"}
+    tree = ast.parse(Path(lvalues.__file__).read_text())
+    gate = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "validate_siegel_gate")
+    names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(gate)}
+    assert not names & oracles
+
+
 def test_divisor_sums_modular_mode_agrees_with_exact():
     sig1 = divisor_sigma_sieve(1, 5000)
     sig3 = divisor_sigma_sieve(3, 5000)
