@@ -12,8 +12,16 @@ with its digest and completion flag.  This module owns the scan directory:
 write_scan names, writes and resumes the shards of an irregularity.ScanPlan
 (and refuses a directory of another scan), and load_records reads them
 back.  The writers take IndexColumns only, as the block kernels return
-them, and shards are read back as IndexColumns: the reader validates whole
-columns at once, and load_records joins a scan's shards into one.
+them, and shards are read back as IndexColumns; load_records joins a
+scan's shards into one.
+
+The reader accepts the writer's grammar and nothing looser: every integer
+is -?[0-9]{1,18} (so int64 holds it exactly), with no space or "+", and a
+line ends in LF, CRLF or a lone CR.  It parses a shard as one uint8
+buffer: every byte but a digit or "-" ends a token, so the separator
+positions give each token's bounds, the byte that ends it and its row; the
+tokens of each digit count are read by one gather and one product with the
+powers of ten; and every check runs on whole arrays.
 """
 
 from __future__ import annotations
@@ -67,77 +75,77 @@ def write_index_shard(path: Path, cols: IndexColumns) -> None:
     _atomic_write(path, body)
 
 
+_COMMA, _COLON, _SEMICOLON, _LF, _CR, _MINUS = b",:;\n\r-"
+_DIGITS = 18  # at most, per integer, so that every value is exact in int64
+assert 10**_DIGITS - 1 <= np.iinfo(np.int64).max
+
+
 def read_index_shard(path: Path) -> IndexColumns:
-    """Parse an index shard into columns.
+    """Parse an index shard into int64 columns, in the writer's grammar.
 
-    Rows end in LF or CRLF, and the last may have no line end.  Rejects
-    rows of the wrong arity, rows whose index column disagrees with the
-    number of hits, malformed hits, and rows that do not strictly increase
-    by (D, p); every message names the file.  The checks run on whole
-    columns: per-row counts of commas and semicolons on the byte buffer,
-    np.loadtxt on columns 0-3, and one split of the hits fields of the rows
-    whose index is above 0.
+    After the header, a row is D,p,delta,index,hits: each integer
+    -?[0-9]{1,18}, hits empty or 2m:valuation pairs joined by ";", the line
+    ended by LF, CRLF, a lone CR or the end of the file.  Another header or
+    row, an index other than the row's hit count, or a row not strictly
+    after the last by (D, p) raises ValueError naming the file (and the
+    first bad line).  One pass: each byte but 0-9 or "-" ends a token.
     """
-    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    header, _, body = data.partition(b"\n")
-    if header.decode(errors="replace").split(",") != INDEX_HEADER:
-        raise ValueError(f"{path} is not an index shard (header {header!r})")
-    if not body:
-        return IndexColumns.from_records([])
-    if not body.endswith(b"\n"):
-        body += b"\n"
-    buf = np.frombuffer(body, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))  # one per row
-    starts = np.concatenate(([0], ends[:-1] + 1))
-
-    def per_row(byte: str) -> np.ndarray:
-        return np.add.reduceat(buf == ord(byte), starts, dtype=np.int64)
-
-    def check(ok: np.ndarray, message) -> None:
-        if not ok.all():
-            row = int(np.argmin(ok))
-            raise ValueError(f"{path}:{row + 2}: {message(row)}")  # the header is line 1
-
-    fields = np.where(ends > starts, per_row(",") + 1, 0)
-    check(fields == 5, lambda i: f"expected 5 fields, got {fields[i]}")
-    try:
-        table = np.loadtxt(body.splitlines(), dtype=np.int64, delimiter=",", usecols=range(4),
-                           comments=None, ndmin=2)
-    except ValueError as exc:
-        raise ValueError(f"{path}, counting rows from 0 after the header: {exc}") from None
-    d, p, delta, index = table.T.copy()
-    hits = np.where(buf[ends - 1] == ord(","), 0, per_row(";") + 1)  # parts of the hits field
-    check(index == hits, lambda i: f"index {index[i]} but {hits[i]} hits")
-    two_m, valuation = _parse_hits(path, buf, ends, index)
+    data = Path(path).read_bytes()
+    data += b"" if data.endswith((b"\n", b"\r")) else b"\n"
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero((buf - ord("0") > 9) & (buf != _MINUS))
+    starts = np.concatenate(([0], ends[:-1] + 1))  # token k is buf[starts[k]:ends[k]]
+    keep = (buf[ends] != _LF) | (buf[np.maximum(ends - 1, 0)] != _CR)
+    starts, ends = starts[keep], ends[keep]  # the LF of a CRLF ends nothing: the CR ended the line
+    sep = np.where(buf[ends] == _CR, _LF, buf[ends])  # the byte that ends each token
+    h = int(np.argmax(sep == _LF))  # the header's last token
+    if data[:ends[h]].decode(errors="replace").split(",") != INDEX_HEADER:
+        raise ValueError(f"{path} is not an index shard (header {data[:ends[h]]!r})")
+    starts, ends, sep = starts[h + 1:], ends[h + 1:], sep[h + 1:]
+    values, good = _parse_integers(buf, starts, ends)
+    row_end = np.flatnonzero(sep == _LF)
+    first = np.concatenate(([0], row_end + 1))[:-1]
+    pos = np.arange(len(sep)) - np.repeat(first, row_end - first + 1)  # in its row
+    odd = (pos & 1).astype(bool)  # "," ends D, p, delta, index; ":" 2m; ";" or LF a valuation
+    good &= np.where(pos < 4, sep == _COMMA,
+                     (sep == np.where(odd, _SEMICOLON, _COLON)) | (sep == _LF) & odd)
+    good |= (pos == 4) & (sep == _LF) & (starts == ends)  # an empty hits field
+    hits = (row_end - first - 3) // 2  # in a row whose every token is good
+    d, p, delta, index = (values.take(first + c, mode="clip") for c in range(4))
     prev_d, prev_p = np.concatenate(([0], d[:-1])), np.concatenate(([0], p[:-1]))
-    check((d > prev_d) | ((d == prev_d) & (p > prev_p)), lambda i: (
-        f"(D, p) {int(d[i]), int(p[i])} does not follow {int(prev_d[i]), int(prev_p[i])}"))
-    return IndexColumns(d, p, delta, index, two_m, valuation)
-
-
-def _parse_hits(path: Path, buf: np.ndarray, ends: np.ndarray, index: np.ndarray):
-    """(two_m, valuation) of every hit, from the hits fields of the rows
-    whose index is above 0; index already equals each field's part count."""
-    fourth_comma = np.flatnonzero(buf == ord(",")).reshape(-1, 4)[:, 3]
-    hit_rows = index > 0
-    # each hits field with the newline that ends it: "2:1;4:2\n2:1\n"
-    edges = np.zeros(len(buf) + 1, dtype=np.int64)
-    edges[fourth_comma[hit_rows] + 1] += 1
-    edges[ends[hit_rows] + 1] -= 1
-    inside = np.cumsum(edges[:-1]) > 0
-    text = buf[inside]
-    separators = np.flatnonzero((text == ord(":")) | (text == ord(";")) | (text == ord("\n")))
-    # every hit is 2m:valuation, and hits are joined by ";" or end their field
-    bad = (text[separators] == ord(":")) != (np.arange(len(separators)) % 2 == 0)
+    bad = (index != hits) | (d < prev_d) | ((d == prev_d) & (p <= prev_p))
+    bad[np.searchsorted(row_end, np.flatnonzero(~good))] = True  # the rows of bad tokens
     if bad.any():
-        line = np.searchsorted(ends, np.flatnonzero(inside)[separators[np.argmax(bad)]]) + 2
-        raise ValueError(f"{path}:{line}: malformed hits")
-    tokens = text.tobytes().replace(b":", b"\n").replace(b";", b"\n").split(b"\n")[:-1]
-    try:
-        values = np.array(list(map(int, tokens)), dtype=np.int64).reshape(-1, 2)
-    except (ValueError, OverflowError) as exc:
-        raise ValueError(f"{path}: malformed hits ({exc})") from None
-    return values[:, 0].copy(), values[:, 1].copy()
+        i = int(np.argmax(bad))
+        row = slice(first[i], row_end[i] + 1)
+        fields = np.count_nonzero(sep[row] == _COMMA) + bool(ends[row_end[i]] > starts[first[i]])
+        k = first[i] + int(np.argmin(good[row]))  # the row's first bad token, if any
+        problem = (  # the first of the row's problems, in the order of the checks
+            f"expected 5 fields, got {fields}" if fields != 5
+            else f"malformed {INDEX_HEADER[min(pos[k], 4)]} at {data[starts[k]:ends[k] + 1]!r}"
+            if not good[k] else f"index {index[i]} but {hits[i]} hits" if index[i] != hits[i]
+            else f"(D, p) {int(d[i]), int(p[i])} does not follow {int(prev_d[i]), int(prev_p[i])}")
+        raise ValueError(f"{path}:{i + 2}: {problem}")  # the header is line 1
+    colons = np.flatnonzero(sep == _COLON)
+    return IndexColumns(d, p, delta, index, values[colons], values[colons + 1])
+
+
+def _parse_integers(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """Each token's int64 value, and whether it is -?[0-9]{1,18} (else its value
+    is 0); the tokens of n digits are one gather and one product with 10^(n-1..0)."""
+    negative = buf[starts] == _MINUS
+    count = ends - starts - negative  # its digits, where the "-" is first
+    good = (count >= 1) & (count <= _DIGITS)
+    minus = np.flatnonzero(buf == _MINUS)
+    tokens = np.searchsorted(ends, minus)
+    good[tokens[starts[tokens] != minus]] = False  # a "-" after the first byte
+    values = np.zeros(len(starts), dtype=np.int64)
+    for n in np.flatnonzero(np.bincount(count[good])):
+        at = np.flatnonzero(good & (count == n))
+        digits = buf[np.arange(n)[:, None] + (starts + negative)[at]] - ord("0")  # token per column
+        values[at] = 10 ** np.arange(n - 1, -1, -1) @ digits
+    np.negative(values, out=values, where=negative)
+    return values, good
 
 
 def write_pairs_csv(path: Path, cols: IndexColumns) -> None:

@@ -11,6 +11,7 @@ from quadzeta.cli import main
 from quadzeta.irregularity import IndexColumns, IndexRecord, scan_plan
 from quadzeta.shards import (
     INDEX_HEADER,
+    PAIR_HEADER,
     IncompleteScanError,
     ScanManifest,
     ShardEntry,
@@ -181,6 +182,90 @@ def test_reader_agrees_with_the_csv_oracle(tmp_path, name):
             read_index_shard(path)
 
 
+def _first_bad_line(tmp_path, data):
+    """The line the csv oracle fails on, counting the header as line 1: the
+    fewest leading lines of data that it rejects."""
+    lines = data.splitlines(keepends=True)
+    prefix = tmp_path / "prefix.csv"
+    for n in range(1, len(lines) + 1):
+        prefix.write_bytes(b"".join(lines[:n]))
+        try:
+            _oracle_read(prefix)
+        except ValueError:
+            return n
+    raise AssertionError("the oracle accepts every prefix")
+
+
+@pytest.mark.parametrize("name", [name for name, (text, accepted) in _CORPUS.items()
+                                  if not accepted and text.startswith(_HEADER)])
+def test_reader_errors_name_the_first_bad_line(tmp_path, name):
+    path = tmp_path / "shard.csv"
+    path.write_bytes(_CORPUS[name][0].encode())
+    line = _first_bad_line(tmp_path, path.read_bytes())
+    assert line > 1
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: "):
+        read_index_shard(path)
+
+
+@pytest.mark.parametrize("row", [
+    " 8,3,2,0,", "+8,3,2,0,", "8,3,2,0 ,", "8,7,6,1,2: 1",
+    "1000000000000000000,3,2,0,", "8,7,6,1,2:1000000000000000000", "٥,7,6,0,",
+])
+def test_reader_refuses_integers_the_writer_never_writes(tmp_path, row):
+    # int() reads each of these rows (whitespace, a sign, 19 digits, a
+    # non-ASCII digit); the reader holds to -?[0-9]{1,18}, as written
+    path = tmp_path / "shard.csv"
+    path.write_bytes(f"{_HEADER}5,3,2,0,\n{row}\n".encode())
+    assert len(_oracle_read(path)) == 2
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "):
+        read_index_shard(path)
+
+
+def test_reader_takes_integers_of_up_to_18_digits(tmp_path):
+    path = tmp_path / "shard.csv"
+    path.write_bytes(f"{_HEADER}5,3,2,0,\n{'9' * 18},7,6,1,2:-{'9' * 18}\n".encode())
+    assert list(read_index_shard(path)) == _oracle_read(path)
+    assert read_index_shard(path).valuation.tolist() == [-(10**18 - 1)]
+
+
+# a byte edit of a shard: insert, delete or replace at a position taken
+# modulo the length, with a byte of the grammar or any other
+_edits = st.lists(st.tuples(st.sampled_from(["insert", "delete", "replace"]), st.integers(0, 10**4),
+                            st.one_of(st.sampled_from(b"0123456789,:;-\r\n"), st.integers(0, 255))),
+                  min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_index_records(), _edits)
+def test_reader_refuses_whatever_the_oracle_refuses(tmp_path, records, edits):
+    # what the reader accepts, the oracle accepts as the same records; what
+    # the oracle refuses, the reader refuses naming the file.  The reader
+    # may also refuse what int() tolerates, such as whitespace or "+".
+    path = tmp_path / "shard.csv"
+    write_index_shard(path, IndexColumns.from_records(records))
+    data = bytearray(path.read_bytes())
+    for op, at, byte in edits:
+        at %= len(data) + (op == "insert")
+        if op == "insert":
+            data.insert(at, byte)
+        elif op == "delete":
+            del data[at]
+        else:
+            data[at] = byte
+    path.write_bytes(bytes(data))
+    try:
+        expected = _oracle_read(path)
+    except (ValueError, csv.Error):
+        expected = None
+    try:
+        got = list(read_index_shard(path))
+    except ValueError as exc:
+        assert str(exc).startswith(str(path))
+        return
+    assert got == expected
+
+
 def test_index_shard_rejects_foreign_csv(tmp_path):
     path = tmp_path / "other.csv"
     path.write_text("a,b\n1,2\n")
@@ -193,6 +278,21 @@ def test_pairs_round_trip(tmp_path):
     path = tmp_path / "pairs.csv"
     write_pairs_csv(path, IndexColumns.from_records(records))
     assert path.read_text().splitlines() == ["p,two_m,D,valuation", "3,2,24,1", "37,32,5,2"]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_index_records())
+def test_pairs_csv_is_what_csv_writer_writes(tmp_path, records):
+    # one p,two_m,D,valuation row per hit, line ends included
+    path = tmp_path / "pairs.csv"
+    write_pairs_csv(path, IndexColumns.from_records(records))
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(PAIR_HEADER)
+    for rec in records:
+        writer.writerows([rec.prime, two_m, rec.discriminant, v] for two_m, v in rec.hits)
+    assert path.read_bytes() == expected.getvalue().encode()
 
 
 def test_manifest_round_trip(tmp_path):
