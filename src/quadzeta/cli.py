@@ -227,7 +227,7 @@ def cmd_report(args) -> int:
     fmt = args.format
     if args.table == "1":
         records = _load(args)
-        if args.pmax_cutoff:
+        if args.pmax_cutoff is not None:
             records = records.take(np.flatnonzero(records.prime < args.pmax_cutoff))
         table = stats.build_distribution(records, prediction="limit")
         _emit_distribution(table, fmt)

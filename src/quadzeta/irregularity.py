@@ -199,8 +199,8 @@ def _valuations(residues: np.ndarray, p: int, e: int, deeper: Callable[..., int]
     """v_p of integers known mod p^e, one per entry of residues.
 
     A residue that is exactly 0 says only v_p >= e: that entry is
-    recomputed as deeper(*index, depth), a value mod p^depth (or exactly),
-    at doubled depths until it is not 0.
+    recomputed as deeper(*index, depth), a value mod p^depth (or exactly,
+    and then never 0), at doubled depths until it is not 0.
     """
     valuation = np.zeros(residues.shape, dtype=np.int64)
     for power in (p**k for k in range(1, e)):
@@ -361,8 +361,12 @@ def compute_grid_block(d_lo: int, d_hi: int, primes: tuple[int, ...]) -> IndexCo
 
 
 def _exact_divisor_sum(d: int, sigma: SigmaTable) -> int:
-    """The divisor sum of one D (sigma holds sigma_{2m-1}), from the window [d, d + 1)."""
-    return siegel_divisor_sums((sigma.exponent + 1) // 2, d, d + 1, sigma)[1][0]
+    """The divisor sum S_m of one D (sigma holds sigma_{2m-1}), from the window
+    [d, d + 1).  It is never 0, as zeta_D(1-2m) is not: a 0 raises ArithmeticError."""
+    m = (sigma.exponent + 1) // 2
+    if not (total := siegel_divisor_sums(m, d, d + 1, sigma)[1][0]):
+        raise ArithmeticError(f"divisor sum S_{m}({d}) is 0 (D = {d}, m = {m}), but zeta_D(1-2m) is not")
+    return total
 
 
 def _divisor_sum_valuations(sums: np.ndarray, discs: Sequence[int], sigma: SigmaTable,

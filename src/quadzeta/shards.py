@@ -13,7 +13,11 @@ write_scan names, writes and resumes the shards of an irregularity.ScanPlan
 (and refuses a directory of another scan), and load_records reads them
 back.  The writers take IndexColumns only, as the block kernels return
 them, and shards are read back as IndexColumns; load_records joins a
-scan's shards into one.
+scan's shards into one.  A shard file is read or written once per
+operation, and only bytes in memory are checked: file_digest and
+read_index_shard take bytes, write_index_shard returns the digest of the
+bytes it wrote, and load_records and a resume digest the buffer they parse
+or count.
 
 The reader accepts the writer's grammar and nothing looser: every integer
 is -?[0-9]{1,18} (so int64 holds it exactly), with no space or "+", and a
@@ -51,28 +55,25 @@ def format_hits(hits: Sequence[tuple[int, int]]) -> str:
     return ";".join(f"{two_m}:{v}" for two_m, v in hits)
 
 
-def _atomic_write(path: Path, write_body) -> None:
+def _atomic_write(path: Path, data: bytes) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        write_body(fh)
+    tmp.write_bytes(data)
     os.replace(tmp, path)
 
 
-def write_index_shard(path: Path, cols: IndexColumns) -> None:
+def write_index_shard(path: Path, cols: IndexColumns) -> str:
     """Write the bytes csv.writer would (no field needs quoting, and every
     row ends in CRLF), formatted from the columns as one string; most rows
-    have no hits, so the hits field is joined only on those that do."""
+    have no hits, so the hits field is joined only on those that do;
+    returns the file_digest of those bytes."""
     hits = iter([f"{m}:{v}" for m, v in zip(cols.two_m.tolist(), cols.valuation.tolist())])
-
-    def body(fh):
-        fh.write(",".join(INDEX_HEADER) + "\r\n")
-        fh.write("".join(
-            f"{d},{p},{b},{k},{';'.join(islice(hits, k)) if k else ''}\r\n"
-            for d, p, b, k in zip(cols.discriminant.tolist(), cols.prime.tolist(),
-                                  cols.delta.tolist(), cols.index.tolist())
-        ))
-
-    _atomic_write(path, body)
+    data = (",".join(INDEX_HEADER) + "\r\n" + "".join(
+        f"{d},{p},{b},{k},{';'.join(islice(hits, k)) if k else ''}\r\n"
+        for d, p, b, k in zip(cols.discriminant.tolist(), cols.prime.tolist(),
+                              cols.delta.tolist(), cols.index.tolist())
+    )).encode()
+    _atomic_write(path, data)
+    return file_digest(data)
 
 
 _COMMA, _COLON, _SEMICOLON, _LF, _CR, _MINUS = b",:;\n\r-"
@@ -80,8 +81,9 @@ _DIGITS = 18  # at most, per integer, so that every value is exact in int64
 assert 10**_DIGITS - 1 <= np.iinfo(np.int64).max
 
 
-def read_index_shard(path: Path) -> IndexColumns:
-    """Parse an index shard into int64 columns, in the writer's grammar.
+def read_index_shard(path: Path, data: bytes) -> IndexColumns:
+    """Parse the bytes data of the index shard path into int64 columns, in
+    the writer's grammar; path only names the shard in errors.
 
     After the header, a row is D,p,delta,index,hits: each integer
     -?[0-9]{1,18}, hits empty or 2m:valuation pairs joined by ";", the line
@@ -90,7 +92,6 @@ def read_index_shard(path: Path) -> IndexColumns:
     after the last by (D, p) raises ValueError naming the file (and the
     first bad line).  One pass: each byte but 0-9 or "-" ends a token.
     """
-    data = Path(path).read_bytes()
     data += b"" if data.endswith((b"\n", b"\r")) else b"\n"
     buf = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero((buf - ord("0") > 9) & (buf != _MINUS))
@@ -152,20 +153,13 @@ def write_pairs_csv(path: Path, cols: IndexColumns) -> None:
     """One p,two_m,D,valuation row per hit, in row and hit order, ending in CRLF."""
     rows = zip(cols.hit_rows(cols.prime).tolist(), cols.two_m.tolist(),
                cols.hit_rows(cols.discriminant).tolist(), cols.valuation.tolist())
-
-    def body(fh):
-        fh.write(",".join(PAIR_HEADER) + "\r\n")
-        fh.write("".join(f"{p},{m},{d},{v}\r\n" for p, m, d, v in rows))
-
-    _atomic_write(path, body)
+    _atomic_write(path, (",".join(PAIR_HEADER) + "\r\n" + "".join(
+        f"{p},{m},{d},{v}\r\n" for p, m, d, v in rows)).encode())
 
 
-def file_digest(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+def file_digest(data: bytes) -> str:
+    """The sha256 hex digest of a file's bytes, as the manifest records it."""
+    return hashlib.sha256(data).hexdigest()
 
 
 @dataclass
@@ -201,18 +195,11 @@ class ScanManifest:
 
 
 def write_manifest(directory: Path, manifest: ScanManifest) -> None:
-    def body(fh):
-        fh.write(f"kind={manifest.kind}\n")
-        for key in sorted(manifest.params):
-            fh.write(f"param.{key}={manifest.params[key]}\n")
-        fh.write(f"shards={len(manifest.shards)}\n")
-        for i, s in enumerate(manifest.shards):
-            fh.write(
-                f"shard.{i:04d}={s.name} lo={s.lo} hi={s.hi} "
-                f"sha256={s.digest or '-'} complete={int(s.complete)}\n"
-            )
-
-    _atomic_write(directory / MANIFEST_NAME, body)
+    lines = [f"kind={manifest.kind}", *(f"param.{k}={v}" for k, v in sorted(manifest.params.items())),
+             f"shards={len(manifest.shards)}"]
+    lines += (f"shard.{i:04d}={s.name} lo={s.lo} hi={s.hi} sha256={s.digest or '-'} "
+              f"complete={int(s.complete)}" for i, s in enumerate(manifest.shards))
+    _atomic_write(directory / MANIFEST_NAME, "".join(f"{line}\n" for line in lines).encode())
 
 
 def read_manifest(directory: Path) -> ScanManifest:
@@ -257,8 +244,9 @@ def load_records(directory: Path, allow_partial: bool = False) -> IndexColumns:
 
     The manifest's shard spans must partition the scan range
     (ScanManifest.validate_partition).  A completed shard must carry a
-    digest, and its file must match it.  Each record's block key (p for a
-    fixed-disc scan, D otherwise) must lie in its shard's [lo, hi).
+    digest, and the one read of its file must match it and is what gets
+    parsed.  Each record's block key (p for a fixed-disc scan, D otherwise)
+    must lie in its shard's [lo, hi).
 
     Raises IncompleteScanError for a directory with no manifest, and for an
     incomplete scan unless allow_partial is set; report commands map that
@@ -275,12 +263,13 @@ def load_records(directory: Path, allow_partial: bool = False) -> IndexColumns:
     for entry in sorted(manifest.shards, key=lambda s: s.lo):
         if not entry.complete:
             continue
-        path = directory / entry.name
         if not entry.digest:
             raise ValueError(f"shard {entry.name} is marked complete but has no digest")
-        if file_digest(path) != entry.digest:
+        path = directory / entry.name
+        data = path.read_bytes()
+        if file_digest(data) != entry.digest:
             raise ValueError(f"digest mismatch for shard {entry.name}")
-        shard = read_index_shard(path)
+        shard = read_index_shard(path, data)
         keys = getattr(shard, block_key)
         if len(keys) and (keys.min() < entry.lo or keys.max() >= entry.hi):
             raise ValueError(f"shard {entry.name} holds records outside [{entry.lo}, {entry.hi})")
@@ -296,9 +285,7 @@ def _write_block(task, out: Path, kind: str, lo: int, hi: int) -> tuple[str, int
     """Compute one block and write its shard, in the same process, so a pool
     worker sends the parent only (digest, record count), never the records."""
     records = task(lo, hi)
-    path = out / _shard_name(kind, lo, hi)
-    write_index_shard(path, records)
-    return file_digest(path), len(records)
+    return write_index_shard(out / _shard_name(kind, lo, hi), records), len(records)
 
 
 def _describe(manifest: ScanManifest) -> str:
@@ -316,10 +303,11 @@ def write_scan(plan: ScanPlan, out: Path, workers: int = 1, resume: bool = False
     out must name the same kind and params, and one that does not, or
     cannot be parsed, raises ValueError before anything is written; so a
     scan never leaves another scan's shards behind.  resume keeps each
-    complete shard of that manifest whose file matches its digest; without
-    it the scan is rewritten in place.  The bytes are those of a fresh run
-    at any worker count.  A worker count below 1 raises ValueError before
-    out is created.
+    complete shard of that manifest whose file (read once, for the digest
+    and the row count) matches its digest, and recomputes the others;
+    without it the scan is rewritten in place.  The bytes are those of a
+    fresh run at any worker count.  A worker count below 1 raises
+    ValueError before out is created.
     """
     entries = [ShardEntry(_shard_name(plan.kind, lo, hi), lo, hi) for lo, hi in plan.blocks]
     manifest = ScanManifest(plan.kind, plan.params, entries)
@@ -331,10 +319,15 @@ def write_scan(plan: ScanPlan, out: Path, workers: int = 1, resume: bool = False
         done = {(s.lo, s.hi): s for s in previous.shards if s.complete}
         for entry in manifest.shards:
             old = done.get((entry.lo, entry.hi))
-            if old and (out / old.name).exists() and file_digest(out / old.name) == old.digest:
-                entry.digest = old.digest
-                entry.complete = True
-                total += (out / old.name).read_bytes().count(b"\n") - 1
+            if old is None:
+                continue
+            try:
+                data = (out / old.name).read_bytes()
+            except FileNotFoundError:
+                continue  # recomputed, as a mismatched shard is
+            if file_digest(data) == old.digest:
+                entry.digest, entry.complete = old.digest, True
+                total += data.count(b"\n") - 1
     pending = [entry for entry in manifest.shards if not entry.complete]
     writer = replace(plan, task=partial(_write_block, plan.task, out, plan.kind))
     results = writer.run(workers, [(entry.lo, entry.hi) for entry in pending])

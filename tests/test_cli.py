@@ -127,7 +127,7 @@ def test_shards_are_written_where_blocks_are_computed(tmp_path, monkeypatch, sma
     def logged(path, records):
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()}\n")
-        write(path, records)
+        return write(path, records)
 
     monkeypatch.setattr(shards, "write_index_shard", logged)
     out = tmp_path / "out"
@@ -149,7 +149,7 @@ def test_failing_worker_leaves_a_resumable_directory(capsys, tmp_path, monkeypat
     def failing(path, records):
         if Path(path).name == victim:
             raise OSError(f"no space left writing {victim}")
-        write(path, records)
+        return write(path, records)
 
     monkeypatch.setattr(shards, "write_index_shard", failing)
     out = tmp_path / "out"
@@ -157,7 +157,7 @@ def test_failing_worker_leaves_a_resumable_directory(capsys, tmp_path, monkeypat
     assert code == 2 and err.startswith("error: no space left"), err
     left = read_manifest(out).shards
     assert [s.complete for s in left[:2]] == [True, False]
-    assert left[0].digest == reference[0].digest == file_digest(out / left[0].name)
+    assert left[0].digest == reference[0].digest == file_digest((out / left[0].name).read_bytes())
     monkeypatch.undo()
     assert main([*SMALL_GRID, "--out", str(out), "--resume", "--workers", "2"]) == 0
     assert files(out) == files(small_grid)
@@ -477,12 +477,14 @@ def test_partial_report_without_a_complete_shard(capsys, tmp_path, small_grid, t
 
 
 def test_table1_cutoff_below_every_prime_is_the_empty_table(capsys, small_fixed):
-    # --pmax-cutoff 3 keeps no row: the table of a scan without records
+    # --pmax-cutoff 3 keeps no row: the table of a scan without records; so
+    # do 2 and 0, which is a cutoff like any other, not an absent flag
     capsys.readouterr()  # a fixture made here prints its scan summary
-    code, out, _ = run(capsys, "report", "--input", str(small_fixed), "--table", "1",
-                       "--pmax-cutoff", "3")
-    assert code == 0
-    assert _sha256(out) == "6220df185102de1fad191bd3263d3d64603569a464623681b64a44733fa18f6c"
+    for cutoff in ("3", "2", "0"):
+        code, out, _ = run(capsys, "report", "--input", str(small_fixed), "--table", "1",
+                           "--pmax-cutoff", cutoff)
+        assert code == 0
+        assert _sha256(out) == "6220df185102de1fad191bd3263d3d64603569a464623681b64a44733fa18f6c"
 
 
 def test_survey_command(capsys, small_fixed, tmp_path):

@@ -1,4 +1,5 @@
 import ast
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from quadzeta.irregularity import (
 )
 from quadzeta.lvalues import l_chi_exact, siegel_divisor_sums_mod, zeta_d_exact
 from quadzeta.numtheory import (
+    SigmaTable,
     divisor_sigma_sieve,
     enumerate_fundamental_discriminants,
     odd_primes_up_to,
@@ -382,3 +384,20 @@ def test_grid_block_in_several_row_groups(monkeypatch):
     discs = enumerate_fundamental_discriminants(100, 400)
     assert len(discs) > 20
     assert list(block) == [chi_irregularity_index(d, p) for d in discs for p in primes]
+
+
+def test_table3_block_refuses_a_zero_divisor_sum():
+    # zeta_D(1 - 2m) is never 0, so neither is an exact divisor sum; one that
+    # reads 0 (here from an all-zero sigma table) used to double the
+    # valuation depth forever, so the alarm fails the test instead
+    def stalled(signum, frame):
+        raise TimeoutError("compute_table3_block still running after 20 s")
+
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(20)
+    try:
+        with pytest.raises(ArithmeticError, match=r"D = 5, m = 1\b"):
+            compute_table3_block(2, 2000, (3,), SigmaTable(1, 499, np.zeros(500, np.int64)))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

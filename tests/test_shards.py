@@ -1,6 +1,11 @@
+import builtins
 import csv
+import hashlib
 import io
+import os
 import re
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,7 +116,7 @@ def _index_records(draw):
 def test_index_shard_round_trip(tmp_path, records):
     path = tmp_path / "shard.csv"
     write_index_shard(path, IndexColumns.from_records(records))
-    columns = read_index_shard(path)
+    columns = read_index_shard(path, path.read_bytes())
     assert list(columns) == records == _oracle_read(path)
     assert _same_columns(columns, IndexColumns.from_records(records))
     assert len(columns) == len(records) and len(columns.hit_offsets) == len(records) + 1
@@ -174,12 +179,12 @@ def test_reader_agrees_with_the_csv_oracle(tmp_path, name):
     path = tmp_path / "shard.csv"
     path.write_bytes(text.encode())
     if accepted:
-        assert list(read_index_shard(path)) == _oracle_read(path)
+        assert list(read_index_shard(path, path.read_bytes())) == _oracle_read(path)
     else:
         with pytest.raises(ValueError):
             _oracle_read(path)
         with pytest.raises(ValueError, match=re.escape(str(path))):
-            read_index_shard(path)
+            read_index_shard(path, path.read_bytes())
 
 
 def _first_bad_line(tmp_path, data):
@@ -204,7 +209,7 @@ def test_reader_errors_name_the_first_bad_line(tmp_path, name):
     line = _first_bad_line(tmp_path, path.read_bytes())
     assert line > 1
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: "):
-        read_index_shard(path)
+        read_index_shard(path, path.read_bytes())
 
 
 @pytest.mark.parametrize("row", [
@@ -218,14 +223,14 @@ def test_reader_refuses_integers_the_writer_never_writes(tmp_path, row):
     path.write_bytes(f"{_HEADER}5,3,2,0,\n{row}\n".encode())
     assert len(_oracle_read(path)) == 2
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "):
-        read_index_shard(path)
+        read_index_shard(path, path.read_bytes())
 
 
 def test_reader_takes_integers_of_up_to_18_digits(tmp_path):
     path = tmp_path / "shard.csv"
     path.write_bytes(f"{_HEADER}5,3,2,0,\n{'9' * 18},7,6,1,2:-{'9' * 18}\n".encode())
-    assert list(read_index_shard(path)) == _oracle_read(path)
-    assert read_index_shard(path).valuation.tolist() == [-(10**18 - 1)]
+    assert list(read_index_shard(path, path.read_bytes())) == _oracle_read(path)
+    assert read_index_shard(path, path.read_bytes()).valuation.tolist() == [-(10**18 - 1)]
 
 
 # a byte edit of a shard: insert, delete or replace at a position taken
@@ -259,7 +264,7 @@ def test_reader_refuses_whatever_the_oracle_refuses(tmp_path, records, edits):
     except (ValueError, csv.Error):
         expected = None
     try:
-        got = list(read_index_shard(path))
+        got = list(read_index_shard(path, path.read_bytes()))
     except ValueError as exc:
         assert str(exc).startswith(str(path))
         return
@@ -270,7 +275,7 @@ def test_index_shard_rejects_foreign_csv(tmp_path):
     path = tmp_path / "other.csv"
     path.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError):
-        read_index_shard(path)
+        read_index_shard(path, path.read_bytes())
 
 
 def test_pairs_round_trip(tmp_path):
@@ -364,7 +369,7 @@ def test_load_records_requires_completion(tmp_path):
     manifest = ScanManifest(
         kind="grid",
         params=_GRID_PARAMS,
-        shards=[ShardEntry("s.csv", 2, 10, file_digest(shard), False)],
+        shards=[ShardEntry("s.csv", 2, 10, file_digest(shard.read_bytes()), False)],
     )
     write_manifest(tmp_path, manifest)
     with pytest.raises(IncompleteScanError):
@@ -401,7 +406,8 @@ def _complete_scan(directory, kind, lo, hi, lines):
     shard = directory / "s.csv"
     shard.write_text("".join(line + "\n" for line in lines))
     params = {"disc": "5", "pmax": str(hi)} if kind == "fixed-disc" else {"dmax": str(hi), "pmax": "100"}
-    manifest = ScanManifest(kind, params, [ShardEntry("s.csv", lo, hi, file_digest(shard), True)])
+    entry = ShardEntry("s.csv", lo, hi, file_digest(shard.read_bytes()), True)
+    manifest = ScanManifest(kind, params, [entry])
     write_manifest(directory, manifest)
 
 
@@ -436,7 +442,7 @@ def test_load_records_requires_a_partition(tmp_path, listed):
         primes = [p for p in (3, 5, 7, 11, 13, 17, 19, 23, 29) if lo <= p < hi]
         write_index_shard(path, IndexColumns.from_records(
             [IndexRecord(5, p, p - 1, "chi", ()) for p in primes]))
-        entries.append(ShardEntry(path.name, lo, hi, file_digest(path), True))
+        entries.append(ShardEntry(path.name, lo, hi, file_digest(path.read_bytes()), True))
     write_manifest(tmp_path, ScanManifest("fixed-disc", params, entries))
     assert len(load_records(tmp_path)) == 9
     write_manifest(tmp_path, ScanManifest("fixed-disc", params, [entries[i] for i in listed]))
@@ -456,7 +462,7 @@ def test_load_records_requires_the_scan_end(tmp_path, kind, params, problem):
     # to 1000; without an end in the params the scan range has no end to check
     write_index_shard(tmp_path / "a.csv", IndexColumns.from_records(_records()))
     lo = 3 if kind == "fixed-disc" else 2
-    entry = ShardEntry("a.csv", lo, 1000, file_digest(tmp_path / "a.csv"), True)
+    entry = ShardEntry("a.csv", lo, 1000, file_digest((tmp_path / "a.csv").read_bytes()), True)
     manifest = ScanManifest(kind, params, [entry])
     with pytest.raises(ValueError, match=problem):
         manifest.validate_partition()
@@ -474,10 +480,65 @@ def test_index_shard_rejects_inconsistent_rows(tmp_path, row, problem):
     path = tmp_path / "shard.csv"
     path.write_text(f"D,p,delta,index,hits\n5,3,2,0,\n{row}\n")
     with pytest.raises(ValueError, match=problem):
-        read_index_shard(path)
+        read_index_shard(path, path.read_bytes())
 
 
 def test_atomic_write_leaves_no_temp(tmp_path):
     path = tmp_path / "x.csv"
     write_index_shard(path, IndexColumns.from_records(_records()))
     assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
+
+@pytest.fixture
+def shard_reads(monkeypatch, tmp_path):
+    """reads() is the Counter of the .csv files opened for reading since the
+    last call, by name, in this process and the pool workers it forks.
+
+    open() and io.open (the one pathlib's read_bytes and read_text go
+    through) are wrapped; each read appends the file's name to a log.
+    """
+    log = tmp_path / "reads.log"
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def counted(original):
+        def wrapper(file, mode="r", *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and os.fspath(file).endswith(".csv") \
+                    and not set(mode) & set("wax+"):
+                os.write(fd, f"{Path(file).name}\n".encode())
+            return original(file, mode, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(builtins, "open", counted(builtins.open))
+    monkeypatch.setattr(io, "open", counted(io.open))
+
+    def reads():
+        names = log.read_text().split()
+        os.truncate(log, 0)
+        return Counter(names)
+
+    try:
+        probe = tmp_path / "probe.csv"
+        probe.write_bytes(b"")
+        probe.read_bytes()
+        with open(probe) as fh:
+            fh.read()
+        assert reads() == {"probe.csv": 2}  # the wrappers see both kinds of read
+        yield reads
+    finally:
+        os.close(fd)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_operation_reads_a_shard_once(tmp_path, shard_reads, workers):
+    plan = scan_plan("grid", dmax=2100, pmax=20)  # three blocks
+    out = tmp_path / "scan"
+    total = write_scan(plan, out, workers=workers)
+    assert shard_reads() == {}  # a scan reads back none of the shards it wrote
+    once = {entry.name: 1 for entry in read_manifest(out).shards}
+    assert len(once) == 3
+    assert len(load_records(out)) == total
+    assert shard_reads() == once
+    assert write_scan(plan, out, workers=workers, resume=True) == total  # nothing to compute
+    assert shard_reads() == once
+    for entry in read_manifest(out).shards:
+        assert entry.digest == hashlib.sha256((out / entry.name).read_bytes()).hexdigest()
