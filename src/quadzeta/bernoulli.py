@@ -20,7 +20,6 @@ exact Python integers (object arrays) take over beyond it.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
@@ -255,18 +254,14 @@ def _numerator_residues(
     return _egf_numerators(discs, p, p**e, sums, two_ms)
 
 
-# Exact power sums grow on demand per D, kept with the character values they extend
-# from: an LRU sized above the 302 fundamental D < 1000 that criterion 7's m-outer loop revisits.
-_EXACT_SUMS_CACHE_SIZE = 512
-_exact_sums_cache: OrderedDict[int, tuple[np.ndarray, list[int]]] = OrderedDict()
+@lru_cache(maxsize=512)  # above the 302 fundamental D < 1000 that criterion 7's m-outer loop revisits
+def _exact_sums_state(d: int) -> tuple[np.ndarray, list[int]]:
+    """(chi_d values, the power sums S_0, S_1, ... so far), which _exact_power_sums extends."""
+    return character_values(d), []
 
 
 def _exact_power_sums(d: int, k_max: int) -> list[int]:
-    entry = _exact_sums_cache.pop(d, None) or (character_values(d), [])
-    _exact_sums_cache[d] = entry
-    if len(_exact_sums_cache) > _EXACT_SUMS_CACHE_SIZE:
-        _exact_sums_cache.popitem(last=False)
-    chi, sums = entry
+    chi, sums = _exact_sums_state(d)
     if len(sums) > k_max:
         return sums
     support = [(a, int(chi[a])) for a in range(1, d + 1) if chi[a]]

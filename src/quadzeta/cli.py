@@ -96,12 +96,9 @@ def cmd_stats(args) -> int:
 
 def _parse_primes(text: str) -> tuple[int, ...]:
     try:
-        primes = tuple(sorted({int(tok) for tok in text.split(",") if tok.strip()}))
+        return tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise CommandError(f"bad prime list {text!r}") from exc
-    if not primes:
-        raise CommandError("empty prime list")
-    return primes
 
 
 def cmd_scan(args) -> int:

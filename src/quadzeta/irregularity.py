@@ -423,28 +423,25 @@ class ScanPlan:
     blocks: list[tuple[int, int]]
     task: Callable[[int, int], IndexColumns]
 
-    def run(
-        self, workers: int = 1, blocks: Sequence[tuple[int, int]] | None = None
-    ) -> Iterator[IndexColumns]:
-        """The rows of each block (all of them by default), in block order
-        whatever the worker count.  A worker count below 1 raises ValueError
-        here, not at the first block."""
+    def run(self, workers: int = 1) -> Iterator[IndexColumns]:
+        """The rows of each block, in block order whatever the worker count.
+        A worker count below 1 raises ValueError here, not at the first block."""
         if workers < 1:
             raise ValueError(f"workers must be at least 1, not {workers}")
-        return self._run(workers, self.blocks if blocks is None else blocks)
+        return self._run(workers)
 
-    def _run(self, workers: int, blocks: Sequence[tuple[int, int]]) -> Iterator[IndexColumns]:
-        if workers == 1 or len(blocks) <= 1:
-            for block in blocks:
+    def _run(self, workers: int) -> Iterator[IndexColumns]:
+        if workers == 1 or len(self.blocks) <= 1:
+            for block in self.blocks:
                 yield self.task(*block)
             return
         # the task, with the sigma tables it may hold, reaches each forked
         # worker once through the initializer instead of once per block; a
         # worker beyond the block count would never get one
         ctx = mp.get_context("fork")
-        with ctx.Pool(processes=min(workers, len(blocks)), initializer=_pool_init,
+        with ctx.Pool(processes=min(workers, len(self.blocks)), initializer=_pool_init,
                       initargs=(self.task,)) as pool:
-            yield from pool.imap(_run_block, blocks)
+            yield from pool.imap(_run_block, self.blocks)
 
 
 _worker_task: Callable[[int, int], IndexColumns] | None = None  # set in pool workers

@@ -166,16 +166,11 @@ def siegel_divisor_sums(m: int, lo: int, hi: int, sigma: SigmaTable) -> tuple[li
 
     The sum for D is sum_b sigma_{2m-1}((D - b^2)/4) over b^2 < D with
     b = D (mod 2).  The two 32-bit halves of the int64 sigma values are
-    accumulated as two columns of one pass (the low one alone when every
-    value fits in 32 bits), then reassembled into exact Python integers.
+    accumulated as two columns of one pass, then reassembled into exact
+    Python integers.
     """
     values = _sigma_prefix(m, hi, sigma)
-    halves = [values & _MASK32]
-    if int(values.max(initial=0)) > _MASK32:
-        halves.append(values >> 32)
-    discs, sums = _window_sums(halves, lo, hi)
-    if len(halves) == 1:
-        return discs, sums[:, 0].tolist()
+    discs, sums = _window_sums([values & _MASK32, values >> 32], lo, hi)
     return discs, [(h << 32) + l for l, h in sums.tolist()]
 
 

@@ -121,16 +121,10 @@ def enumerate_fundamental_discriminants(lo: int, hi: int) -> list[int]:
 
 
 def odd_primes_up_to(x: int) -> list[int]:
-    """All odd primes p < x, ascending (2 is excluded)."""
-    if x <= 3:
-        return []
-    sieve = np.ones(x, dtype=bool)
-    sieve[:2] = False
-    for q in range(2, math.isqrt(x - 1) + 1):
-        if sieve[q]:
-            sieve[q * q :: q] = False
-    sieve[2] = False
-    return [int(p) for p in np.flatnonzero(sieve)]
+    """All odd primes p < x, ascending: the n >= 3 with smallest_prime_factors(x)[n] == n."""
+    spf = smallest_prime_factors(x)
+    n = np.arange(3, len(spf))
+    return n[spf[3:] == n].tolist()
 
 
 def is_odd_prime(p: int) -> bool:

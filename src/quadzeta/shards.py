@@ -207,33 +207,36 @@ def read_manifest(directory: Path) -> ScanManifest:
     kind = ""
     params: dict[str, str] = {}
     shards: list[ShardEntry] = []
-    with open(path) as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            if key == "kind":
-                kind = value
-            elif key.startswith("param."):
-                params[key[len("param.") :]] = value
-            elif key.startswith("shard."):
-                try:  # every parse error names the manifest line
-                    name, *attrs = value.split()
-                    entry = ShardEntry(name=name, lo=0, hi=0)
-                    for attr in attrs:
-                        k, _, v = attr.partition("=")
-                        if k == "lo":
-                            entry.lo = int(v)
-                        elif k == "hi":
-                            entry.hi = int(v)
-                        elif k == "sha256":
-                            entry.digest = "" if v == "-" else v
-                        elif k == "complete":
-                            entry.complete = bool(int(v))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{number}: {exc}") from None
-                shards.append(entry)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc}") from None
+    for number, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        key, _, value = line.partition("=")
+        if key == "kind":
+            kind = value
+        elif key.startswith("param."):
+            params[key[len("param.") :]] = value
+        elif key.startswith("shard."):
+            try:  # every parse error names the manifest line
+                name, *attrs = value.split()
+                entry = ShardEntry(name=name, lo=0, hi=0)
+                for attr in attrs:
+                    k, _, v = attr.partition("=")
+                    if k == "lo":
+                        entry.lo = int(v)
+                    elif k == "hi":
+                        entry.hi = int(v)
+                    elif k == "sha256":
+                        entry.digest = "" if v == "-" else v
+                    elif k == "complete":
+                        entry.complete = bool(int(v))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{number}: {exc}") from None
+            shards.append(entry)
     if not kind:
         raise ValueError(f"{path} has no scan kind")
     return ScanManifest(kind=kind, params=params, shards=shards)
@@ -329,8 +332,8 @@ def write_scan(plan: ScanPlan, out: Path, workers: int = 1, resume: bool = False
                 entry.digest, entry.complete = old.digest, True
                 total += data.count(b"\n") - 1
     pending = [entry for entry in manifest.shards if not entry.complete]
-    writer = replace(plan, task=partial(_write_block, plan.task, out, plan.kind))
-    results = writer.run(workers, [(entry.lo, entry.hi) for entry in pending])
+    results = replace(plan, blocks=[(entry.lo, entry.hi) for entry in pending],
+                      task=partial(_write_block, plan.task, out, plan.kind)).run(workers)
     out.mkdir(parents=True, exist_ok=True)  # after run has checked the worker count
     write_manifest(out, manifest)
     for entry, (digest, count) in zip(pending, results):

@@ -162,23 +162,31 @@ def test_self_conductor_exceptional_denominator():
 
 
 def test_exact_sums_cache_is_a_bounded_lru():
-    size = bernoulli._EXACT_SUMS_CACHE_SIZE
+    state = bernoulli._exact_sums_state
+    size = state.cache_info().maxsize
+    assert size == 512
+
+    def cached(d):  # a call that hits proves d was cached, and refreshes its entry
+        hits = state.cache_info().hits
+        state(d)
+        return state.cache_info().hits > hits
+
     gate_discs = enumerate_fundamental_discriminants(2, 1000)
     assert len(gate_discs) < size  # criterion 7's m-outer loop never evicts its own entries
     discs = enumerate_fundamental_discriminants(2, 4000)[: size + 100]
     assert len(discs) == size + 100
     for d in discs:
         assert _exact_power_sums(d, 2)[0] == 0
-        assert len(bernoulli._exact_sums_cache) <= size
-    assert len(bernoulli._exact_sums_cache) == size
-    assert list(bernoulli._exact_sums_cache)[-1] == discs[-1]
-    assert discs[0] not in bernoulli._exact_sums_cache
+        assert state.cache_info().currsize <= size
+    assert state.cache_info().currsize == size
     # a hit moves its entry to the recent end, so the next miss evicts another
     oldest, second = discs[-size], discs[-size + 1]
     _exact_power_sums(oldest, 1)
     _exact_power_sums(4001, 1)
-    assert oldest in bernoulli._exact_sums_cache
-    assert second not in bernoulli._exact_sums_cache
+    assert not cached(second)
+    assert cached(oldest)
+    assert cached(discs[-1])
+    assert not cached(discs[0])
 
 
 def test_int64_policy_lives_in_bernoulli():

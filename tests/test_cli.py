@@ -239,6 +239,33 @@ def test_scan_stops_at_a_manifest_it_cannot_parse(capsys, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == [MANIFEST_NAME]
 
 
+@pytest.mark.parametrize("argv", [
+    ["report", "--table", "2", "--input"],
+    [*SMALL_GRID, "--resume", "--out"],
+], ids=["report", "resume"])
+def test_a_manifest_that_is_not_utf8_is_named(capsys, tmp_path, argv):
+    path = tmp_path / MANIFEST_NAME
+    path.write_bytes(b"\xffkind=grid\n")
+    code, _, err = run(capsys, *argv, str(tmp_path))
+    assert code == 2 and err.startswith(f"error: {path} is not UTF-8 text: "), err
+    assert [p.name for p in tmp_path.iterdir()] == [MANIFEST_NAME]
+
+
+def test_scan_with_no_prime_in_the_list_is_refused(capsys, tmp_path):
+    out = tmp_path / "none"
+    code, _, err = run(capsys, "scan", "--kind", "grid", "--dmax", "2000", "--primes", ",",
+                       "--out", str(out))
+    assert code == 2 and err == "error: grid scan has no odd prime to test\n", err
+    assert not out.exists()
+
+
+def test_scan_sorts_and_deduplicates_the_prime_list(tmp_path):
+    out = tmp_path / "primes"
+    assert main(["scan", "--kind", "grid", "--dmax", "2000", "--primes", "7,3,7",
+                 "--out", str(out)]) == 0
+    assert "param.primes=3,7\n" in (out / MANIFEST_NAME).read_text()
+
+
 def test_report_requires_complete_manifest(capsys, tmp_path, small_grid):
     out = tmp_path / "partial"
     assert main(["scan", "--kind", "grid", "--dmax", "300", "--pmax", "20",

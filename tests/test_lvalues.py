@@ -184,6 +184,17 @@ def test_divisor_sums_valuations_agree_between_modes():
                 assert p_adic_valuation(s, p) == p_adic_valuation(r, p), (d, p)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_divisor_sums_reassemble_both_halves(m):
+    # sigma_3 up to 2000 passes 2^32, so its high half carries; sigma_1's high half is 0
+    sigma = divisor_sigma_sieve(2 * m - 1, 2000)
+    assert (int(sigma.values.max()) >= 2**32) == (m == 2)
+    discs, sums = siegel_divisor_sums(m, 2, 8001, sigma)
+    assert discs == enumerate_fundamental_discriminants(2, 8001)
+    assert sums == [sum(sigma[(d - b * b) // 4] for b in range(-math.isqrt(d - 1), math.isqrt(d - 1) + 1)
+                        if (d - b) % 2 == 0) for d in discs]
+
+
 def _direct_divisor_sum(d, sigma):
     """sum_b sigma((d - b^2)/4) over b^2 < d with b = d (mod 2), one b at a time."""
     return sum((1 if b == 0 else 2) * sigma[(d - b * b) // 4]

@@ -12,6 +12,7 @@ from quadzeta.numtheory import (
     divisor_sigma_sieve,
     enumerate_fundamental_discriminants,
     is_fundamental_discriminant,
+    is_odd_prime,
     kronecker_symbol,
     odd_primes_up_to,
     p_adic_valuation,
@@ -145,6 +146,12 @@ def test_odd_primes():
     assert len(odd_primes_up_to(5000)) == 668
     assert len(odd_primes_up_to(100)) == 24
     assert odd_primes_up_to(3) == []
+
+
+def test_odd_primes_match_trial_division_below_3000():
+    trial = [p for p in range(3000) if is_odd_prime(p)]
+    for x in range(3000):
+        assert odd_primes_up_to(x) == [p for p in trial if p < x], x
 
 
 def test_sigma_sieve_examples():

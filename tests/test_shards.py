@@ -5,6 +5,7 @@ import io
 import os
 import re
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -357,6 +358,22 @@ def test_write_scan_resume_reproduces_the_scan(tmp_path):
     assert write_scan(plan, out, resume=True) == total
     assert {p.name: p.read_bytes() for p in out.iterdir()} == fresh
     assert write_scan(plan, out, resume=True) == total  # nothing left to compute
+
+
+def test_write_scan_resume_computes_only_the_missing_block(tmp_path):
+    plan = scan_plan("grid", dmax=2100, pmax=20)  # three blocks
+    out = tmp_path / "scan"
+    total = write_scan(plan, out)
+    victim = read_manifest(out).shards[1]
+    (out / victim.name).unlink()
+    calls = []
+
+    def counting(lo, hi):
+        calls.append((lo, hi))
+        return plan.task(lo, hi)
+
+    assert write_scan(replace(plan, task=counting), out, resume=True) == total
+    assert calls == [(victim.lo, victim.hi)]
 
 
 # the params of the one-shard grid scans over D in [2, 10) below
