@@ -1,8 +1,10 @@
 """Command-line surface.
 
 Subcommands: lvalue, zeta, index, scan, report, survey, stats.
-Exit codes: 0 success, 2 usage or validation error, 3 incomplete input,
-4 failed arithmetic check (the Siegel gate found a mismatch).
+Exit codes: 0 success, 2 usage or validation error (an allocation too
+large for memory included), 3 incomplete input or an incomplete scan (a
+scan worker died; --resume completes the directory), 4 failed arithmetic
+check (the Siegel gate found a mismatch).
 
 The library owns every input rule (discriminants, primes, exponent ranges,
 which parameters a scan kind takes); this module parses flags, checks only
@@ -102,10 +104,15 @@ def _parse_primes(text: str) -> tuple[int, ...]:
 
 
 def cmd_scan(args) -> int:
+    from concurrent.futures.process import BrokenProcessPool  # scans only: start-up skips it
     primes = None if args.primes is None else _parse_primes(args.primes)
     plan = irregularity.scan_plan(args.kind, disc=args.disc, pmax=args.pmax, dmax=args.dmax,
                                   primes=primes)  # a rejected scan leaves no directory behind
-    total = shards.write_scan(plan, Path(args.out), args.workers, args.resume)
+    try:
+        total = shards.write_scan(plan, Path(args.out), args.workers, args.resume)
+    except BrokenProcessPool as exc:
+        raise CommandError(f"a scan worker died, so {args.out} is incomplete; "
+                           "--resume completes it", EXIT_INCOMPLETE) from exc
     print(f"scan {args.kind} complete: {len(plan.blocks)} shards, {total} records")
     return EXIT_OK
 
@@ -118,13 +125,8 @@ def _fmt_count(x) -> str:
     return f"{float(x):.2f}"
 
 
-def _fmt_fraction(x) -> str:
-    s = f"{float(x):.6f}"
-    return s[1:] if s.startswith("0.") else s
-
-
-def _fmt_sig(x) -> str:
-    s = f"{float(x):.3f}"
+def _fmt_fraction(x, decimals: int = 6) -> str:
+    s = f"{float(x):.{decimals}f}"
     return s[1:] if s.startswith("0.") else s
 
 
@@ -185,7 +187,7 @@ def _emit_distribution(
         for i, (o, e, f) in enumerate(zip(table.observed, table.expected, table.fractions)):
             print(f"{i} & {int(o)} & {_fmt_count(e)} & {_fmt_fraction(f)}")
         print(f"chi-squared {table.chi_squared:.2f} (df {table.df}), "
-              f"significance {_fmt_sig(table.significance)}")
+              f"significance {_fmt_fraction(table.significance, 3)}")
     else:
         print("r & total & predicted total & average & predicted average & fraction")
         for i in range(len(table.observed)):
@@ -196,9 +198,9 @@ def _emit_distribution(
                 f"{_fmt_fraction(table.fractions[i])}"
             )
         print(f"totals chi-squared {table.chi_squared:.1f} (df {table.df}), "
-              f"significance {_fmt_sig(table.significance)}")
+              f"significance {_fmt_fraction(table.significance, 3)}")
         print(f"averages chi-squared {averages.chi_squared:.3f} (df {averages.df}), "
-              f"significance {_fmt_sig(averages.significance)}")
+              f"significance {_fmt_fraction(averages.significance, 3)}")
 
 
 # the tables read from shards; the histogram is computed from --disc and --mod
@@ -222,22 +224,20 @@ def cmd_report(args) -> int:
         if value is not None and value is not False and args.table not in tables:
             raise CommandError(f"--table {args.table} takes no {flag}")
     fmt = args.format
-    if args.table == "1":
+    if args.table in _SHARD_TABLES:
         records = _load(args)
+    if args.table == "1":
         if args.pmax_cutoff is not None:
             records = records.take(np.flatnonzero(records.prime < args.pmax_cutoff))
         table = stats.build_distribution(records, prediction="limit")
         _emit_distribution(table, fmt)
     elif args.table == "2":
-        records = _load(args)
         report = stats.aggregate_across_discriminants(records, prediction="limit")
         _emit_distribution(report.totals, fmt, averages=report.averages)
     elif args.table == "3":
-        records = _load(args)
         report = stats.aggregate_across_discriminants(records, prediction="exact")
         _emit_distribution(report.totals, fmt, averages=report.averages, avg_decimals=6)
     elif args.table == "residues":
-        records = _load(args)
         if len(np.unique(records.discriminant)) != 1:
             raise CommandError("residue-class report needs a fixed-discriminant scan")
         primes = np.unique(records.prime).tolist()
@@ -246,7 +246,6 @@ def cmd_report(args) -> int:
         table = stats.residue_class_report(irregular, primes, modulus)
         _emit_distribution(table, fmt)
     elif args.table == "ratios":
-        records = _load(args)
         report = stats.ratio_uniformity_report(records, bins=10 if args.bins is None else args.bins)
         payload = {
             "count": report.count,
@@ -266,7 +265,7 @@ def cmd_report(args) -> int:
         else:
             print(f"{report.count} ratios in {report.bins} bins: {list(report.histogram)}")
             print(f"chi-squared {report.chi_squared:.3f} (df {report.df}), "
-                  f"significance {_fmt_sig(report.significance)}, "
+                  f"significance {_fmt_fraction(report.significance, 3)}, "
                   f"KS {report.ks_statistic:.4f}")
     elif args.table == "histogram":
         # computed directly: index shards do not carry residues
@@ -381,6 +380,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)

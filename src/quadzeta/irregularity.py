@@ -29,7 +29,7 @@ exact-rational loops (_exact_hits) remain as test oracles.
 from __future__ import annotations
 
 import multiprocessing as mp
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from itertools import islice
@@ -91,10 +91,10 @@ class IndexColumns:
     """chi-index records as int64 columns, one row per (D, p).
 
     Row i's hits are (two_m[j], valuation[j]) for j in
-    [hit_offsets[i], hit_offsets[i + 1]); hit_offsets (len(self) + 1
-    entries) follows from the index column, each row's hit count.  Scans
-    return this form, shards are written from it and read into it, and the
-    reports read it; iterating gives the per-row IndexRecord view.
+    [hit_offsets[i], hit_offsets[i + 1]), the offsets following from the
+    index column, each row's hit count.  Scans return this form, shards are
+    written from it and read into it, and the reports read it; iterating
+    gives the per-row IndexRecord view.
     """
 
     discriminant: np.ndarray
@@ -103,12 +103,10 @@ class IndexColumns:
     index: np.ndarray
     two_m: np.ndarray
     valuation: np.ndarray
-    hit_offsets: np.ndarray = field(init=False)
 
-    def __post_init__(self) -> None:
-        offsets = np.zeros(len(self.index) + 1, dtype=np.int64)
-        np.cumsum(self.index, out=offsets[1:])
-        object.__setattr__(self, "hit_offsets", offsets)
+    @property
+    def hit_offsets(self) -> np.ndarray:
+        return np.concatenate(([0], np.cumsum(self.index)))
 
     def __len__(self) -> int:
         return len(self.index)
@@ -335,11 +333,9 @@ def _block_ranges(lo: int, hi: int, size: int) -> list[tuple[int, int]]:
 
 
 def compute_fixed_disc_block(d: int, p_lo: int, p_hi: int) -> IndexColumns:
-    """chi-index rows for all odd primes in [p_lo, p_hi), fixed D."""
-    table = character_values(d)[None]
-    primes = [p for p in odd_primes_up_to(p_hi) if p >= p_lo]
-    return IndexColumns.concatenate(
-        [_records(_chi_valuations(table, [d], p), [d], p) for p in primes])
+    """chi-index rows for all odd primes in [p_lo, p_hi): the grid block of the one D."""
+    primes = tuple(p for p in odd_primes_up_to(p_hi) if p >= p_lo)
+    return compute_grid_block(validate_fundamental_discriminant(d), d + 1, primes)
 
 
 def _by_pair(parts: Sequence[IndexColumns]) -> IndexColumns:
@@ -437,11 +433,14 @@ class ScanPlan:
             return
         # the task, with the sigma tables it may hold, reaches each forked
         # worker once through the initializer instead of once per block; a
-        # worker beyond the block count would never get one
-        ctx = mp.get_context("fork")
-        with ctx.Pool(processes=min(workers, len(self.blocks)), initializer=_pool_init,
-                      initargs=(self.task,)) as pool:
-            yield from pool.imap(_run_block, self.blocks)
+        # worker beyond the block count would never get one.  A dead worker
+        # raises BrokenProcessPool; on any error map cancels the blocks not
+        # started, and the pool's exit waits for the running ones.  Imported
+        # here, so that only a run with a pool loads it
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(min(workers, len(self.blocks)), mp.get_context("fork"),
+                                 initializer=_pool_init, initargs=(self.task,)) as pool:
+            yield from pool.map(_run_block, self.blocks)
 
 
 _worker_task: Callable[[int, int], IndexColumns] | None = None  # set in pool workers

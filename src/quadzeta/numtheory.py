@@ -122,9 +122,9 @@ def enumerate_fundamental_discriminants(lo: int, hi: int) -> list[int]:
 
 def odd_primes_up_to(x: int) -> list[int]:
     """All odd primes p < x, ascending: the n >= 3 with smallest_prime_factors(x)[n] == n."""
-    spf = smallest_prime_factors(x)
-    n = np.arange(3, len(spf))
-    return n[spf[3:] == n].tolist()
+    least = smallest_prime_factors(x)
+    n = np.arange(3, len(least))
+    return n[least[3:] == n].tolist()
 
 
 def is_odd_prime(p: int) -> bool:
@@ -210,14 +210,14 @@ def p_adic_valuation(q, p: int) -> int | float:
 
 
 def smallest_prime_factors(limit: int) -> np.ndarray:
-    """spf[n] = smallest prime factor of n for 2 <= n < limit (spf[0:2] = 0)."""
-    spf = np.arange(max(limit, 2), dtype=np.int64)
-    spf[:2] = 0
+    """least[n] = smallest prime factor of n for 2 <= n < limit (least[0:2] = 0)."""
+    least = np.arange(max(limit, 2), dtype=np.int64)
+    least[:2] = 0
     for q in range(2, math.isqrt(max(limit - 1, 0)) + 1):
-        if spf[q] == q:
-            multiples = spf[q * q :: q]
+        if least[q] == q:
+            multiples = least[q * q :: q]
             multiples[multiples == np.arange(q * q, limit, q)] = q
-    return spf
+    return least
 
 
 def _kronecker_at_primes(discs: np.ndarray, primes: np.ndarray) -> np.ndarray:
@@ -242,30 +242,27 @@ def _kronecker_at_primes(discs: np.ndarray, primes: np.ndarray) -> np.ndarray:
     return out
 
 
-def character_table(discs, width: int, spf: np.ndarray | None = None) -> np.ndarray:
+def character_table(discs, width: int) -> np.ndarray:
     """chi_D(a) for each D in discs and 0 <= a < width (width >= 2), as an int8 matrix.
 
     Columns at primes come from _kronecker_at_primes; every other column
-    follows from complete multiplicativity, chi(a) = chi(spf(a)) chi(a / spf(a)),
-    by pointer doubling along the chains a -> a / spf(a) -> ... -> 1, so the
-    fill takes log2 of the largest prime-factor count in vector steps.
-    spf is reused when it covers the width and rebuilt otherwise.
+    follows from complete multiplicativity, chi(a) = chi(q) chi(a / q) for q
+    the least prime factor of a, by pointer doubling along a -> a / q -> ... -> 1,
+    so the fill takes log2 of the largest prime-factor count in vector steps.
     """
     for d in discs:
         validate_fundamental_discriminant(int(d))
-    if spf is None or len(spf) < width:
-        spf = smallest_prime_factors(width)
-    spf = spf[:width]
+    least = smallest_prime_factors(width)
     cols = np.arange(width)
-    is_prime = spf[2:] == cols[2:]
+    is_prime = least[2:] == cols[2:]
     primes, composite = cols[2:][is_prime], cols[2:][~is_prime]
     table = np.zeros((len(discs), width), dtype=np.int8)
     table[:, 1] = 1
     table[:, primes] = _kronecker_at_primes(np.asarray(discs, dtype=np.int64), primes)
-    table[:, composite] = table[:, spf[composite]]
+    table[:, composite] = table[:, least[composite]]
     # invariant: chi(a) = table[a] * chi(rest[a]); primes, 0 and 1 start finished
     rest = np.ones(width, dtype=np.int64)
-    rest[composite] = composite // spf[composite]
+    rest[composite] = composite // least[composite]
     while (rest != 1).any():
         table *= table[:, rest]
         rest = rest[rest]
@@ -280,8 +277,8 @@ def period_table(discs: list[int]) -> np.ndarray:
     return table
 
 
-def character_values(d: int, spf: np.ndarray | None = None) -> np.ndarray:
+def character_values(d: int) -> np.ndarray:
     """chi_d(a) for 0 <= a <= d as a read-only int8 array: one row of character_table."""
-    vals = character_table([d], d + 1, spf)[0]
+    vals = character_table([d], d + 1)[0]
     vals.setflags(write=False)
     return vals

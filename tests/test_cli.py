@@ -1,11 +1,14 @@
 import hashlib
 import json
+import multiprocessing
 import os
+import signal
+import time
 from pathlib import Path
 
 import pytest
 
-from quadzeta import cli, lvalues, shards, stats
+from quadzeta import cli, irregularity, lvalues, shards, stats
 from quadzeta.cli import main
 from quadzeta.shards import MANIFEST_NAME, file_digest, load_records, read_manifest, write_manifest
 
@@ -161,6 +164,59 @@ def test_failing_worker_leaves_a_resumable_directory(capsys, tmp_path, monkeypat
     monkeypatch.undo()
     assert main([*SMALL_GRID, "--out", str(out), "--resume", "--workers", "2"]) == 0
     assert files(out) == files(small_grid)
+
+
+def test_dead_worker_exits_3_and_leaves_a_resumable_directory(capsys, tmp_path, monkeypatch,
+                                                             small_grid):
+    # a lost task used to hang the scan forever, so the alarm fails the test
+    # instead; the workers past block 0 die once the manifest has block 0
+    # complete, whichever worker runs which block
+    out = tmp_path / "out"
+    grid = irregularity.compute_grid_block
+
+    def dying(d_lo, d_hi, primes):
+        if d_lo == 2:
+            return grid(d_lo, d_hi, primes)
+        deadline = time.monotonic() + 30
+        while not read_manifest(out).shards[0].complete and time.monotonic() < deadline:
+            time.sleep(0.01)
+        os._exit(3)
+
+    def stalled(signum, frame):
+        raise TimeoutError("the scan still waits on a dead worker after 60 s")
+
+    monkeypatch.setattr(irregularity, "compute_grid_block", dying)
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(60)
+    try:
+        code, _, err = run(capsys, *SMALL_GRID, "--out", str(out), "--workers", "2")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 3 and err.startswith("error: a scan worker died"), err
+    assert "--resume" in err and len(err.splitlines()) == 1
+    assert multiprocessing.active_children() == []
+    left = read_manifest(out).shards
+    assert [s.complete for s in left] == [True, False, False]
+    assert left[0].digest == read_manifest(small_grid).shards[0].digest
+    monkeypatch.undo()
+    assert main([*SMALL_GRID, "--out", str(out), "--resume", "--workers", "2"]) == 0
+    assert files(out) == files(small_grid)
+
+
+@pytest.mark.parametrize("argv, call", [
+    (["lvalue", "--disc", "5", "--m", "1"], (lvalues, "l_chi_exact")),
+    (["index", "--disc", "5", "--p", "7"], (irregularity, "character_values")),
+])
+def test_allocation_failure_is_a_usage_error(capsys, monkeypatch, argv, call):
+    # as numpy raises for --disc 1000000000001, without allocating here
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(*call, too_large)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
 
 
 def test_resume_rewrites_a_shard_written_ahead_of_the_manifest(tmp_path, small_grid):

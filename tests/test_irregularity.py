@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import signal
 from pathlib import Path
 
@@ -182,6 +183,31 @@ def test_scan_fixed_discriminant_structure():
     assert all(r.discriminant == 5 and r.kind == "chi" for r in recs)
     recs = scan_fixed_discriminant(8, 1000)
     assert len(recs) == 167
+
+
+@pytest.mark.parametrize("d", [5, 8, 12, 13, 24])
+def test_fixed_disc_scan_matches_exact_oracle(d):
+    # the fixed-disc block is the grid block of one D: p = D at D = 13, and
+    # p | D at D = 12 and 24 (p = 3)
+    expected = [IndexRecord(d, p, delta(d, p), "chi", tuple(_chi_hits_exact(d, p, False)))
+                for p in odd_primes_up_to(120)]
+    assert list(scan_fixed_discriminant(d, 120)) == expected
+
+
+def test_fixed_disc_block_refuses_a_non_fundamental_discriminant():
+    # enumerating [9, 10) alone would give an empty block
+    with pytest.raises(ValueError, match="9 is not a fundamental discriminant"):
+        compute_fixed_disc_block(9, 3, 100)
+
+
+def test_index_columns_store_six_columns_and_derive_the_offsets():
+    assert [f.name for f in dataclasses.fields(IndexColumns)] == [
+        "discriminant", "prime", "delta", "index", "two_m", "valuation"]
+    cols = IndexColumns.from_records([IndexRecord(5, 7, 6, "chi", ((2, 1), (4, 2))),
+                                      IndexRecord(8, 3, 2, "chi", ()),
+                                      IndexRecord(8, 7, 6, "chi", ((6, 3),))])
+    assert cols.hit_offsets.tolist() == [0, 2, 2, 3]
+    assert cols.hit_offsets.dtype == np.int64
 
 
 def test_scan_fixed_primes_structure():

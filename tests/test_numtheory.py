@@ -65,9 +65,8 @@ def test_kronecker_multiplicativity_and_periodicity():
 
 
 def test_character_sum_zero_all_discriminants_below_1e4():
-    spf = smallest_prime_factors(10_000)
     for d in enumerate_fundamental_discriminants(2, 10_000):
-        vals = character_values(d, spf)
+        vals = character_values(d)
         assert int(vals[1:].sum()) == 0, d
 
 

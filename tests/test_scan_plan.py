@@ -1,5 +1,10 @@
 import ast
+import concurrent.futures
 import multiprocessing as mp
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -57,19 +62,45 @@ def test_plan_params_identify_the_cli_scans():
 
 
 def test_pool_has_no_more_workers_than_blocks(monkeypatch):
-    # records the pool size asked of the fork context, and starts no process
+    # records the pool size asked of the executor, and starts no process
     asked = []
 
-    def no_pool(processes, **kwargs):
-        asked.append(processes)
+    def no_pool(max_workers, *args, **kwargs):
+        asked.append(max_workers)
         raise RuntimeError("no pool in this test")
 
-    monkeypatch.setattr(mp.get_context("fork"), "Pool", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     plan = scan_plan("grid", dmax=2100, pmax=20)
     assert len(plan.blocks) == 3
     with pytest.raises(RuntimeError, match="no pool"):
         list(plan.run(16))
     assert asked == [3]
+
+
+def _dies_past_block_0(lo, hi):
+    if lo > 2:
+        os._exit(3)
+    return compute_grid_block(lo, hi, (7,))
+
+
+def test_a_dead_worker_breaks_the_run_and_leaves_no_process():
+    # multiprocessing.Pool never noticed a lost task and waited forever, so
+    # the alarm fails the test instead
+    plan = replace(scan_plan("grid", dmax=3000, primes=(7,)), task=_dies_past_block_0)
+    assert len(plan.blocks) == 3
+
+    def stalled(signum, frame):
+        raise TimeoutError("the run still waits on a dead worker after 20 s")
+
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(20)
+    try:
+        with pytest.raises(BrokenProcessPool):
+            list(plan.run(2))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert mp.active_children() == []
 
 
 @pytest.mark.parametrize("workers", [0, -3])
