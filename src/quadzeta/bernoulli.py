@@ -62,11 +62,6 @@ def _np_safe(p: int, modulus: int) -> bool:
     return (p + 1) * modulus * modulus < _INT64_BUDGET
 
 
-def _residue_dtype(p: int, modulus: int):
-    """int64 where _np_safe holds, else object (exact Python ints)."""
-    return np.int64 if _np_safe(p, modulus) else object
-
-
 def _pow_range(base, count: int, modulus: int, dtype) -> np.ndarray:
     """[base^0, ..., base^(count-1)] mod modulus along a new last axis.
 
@@ -92,8 +87,9 @@ def _prefix_products(x: np.ndarray, modulus: int) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _factorials(p: int, modulus: int) -> tuple[np.ndarray, np.ndarray]:
-    """(j!, 1/j!) mod modulus for 0 <= j <= p - 1, where every j! is a unit."""
-    dtype = _residue_dtype(p, modulus)
+    """(j!, 1/j!) mod modulus for 0 <= j <= p - 1, where every j! is a unit:
+    int64 where _np_safe holds, else object; every kernel array takes this dtype."""
+    dtype = np.int64 if _np_safe(p, modulus) else object
     ramp = np.arange(p).astype(dtype)
     ramp[0] = 1
     fact = _prefix_products(ramp, modulus)  # [0!, 1!, ..., (p-1)!]
@@ -143,7 +139,7 @@ def _egf_inverse(f: np.ndarray, n_terms: int, modulus: int) -> np.ndarray:
 def bernoulli_residues_mod(p: int, modulus: int) -> np.ndarray:
     """B_j mod modulus for 0 <= j <= p - 2, where modulus is a power of p.
 
-    Returns a read-only array, int64 or object as _residue_dtype decides.
+    Returns a read-only array, int64 or object as _factorials decides.
 
     B_j / j! are the coefficients of t / (e^t - 1), the inverse of the series
     (e^t - 1) / t.  Apart from its B_1 t term that series is the even function

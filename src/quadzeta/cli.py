@@ -2,9 +2,10 @@
 
 Subcommands: lvalue, zeta, index, scan, report, survey, stats.
 Exit codes: 0 success, 2 usage or validation error (an allocation too
-large for memory included), 3 incomplete input or an incomplete scan (a
+large for memory, a value too large for a C long and a scan of more than
+MAX_BLOCKS blocks included), 3 incomplete input or an incomplete scan (a
 scan worker died; --resume completes the directory), 4 failed arithmetic
-check (the Siegel gate found a mismatch).
+check (a Siegel gate mismatch, or a Table 3 divisor sum of 0).
 
 The library owns every input rule (discriminants, primes, exponent ranges,
 which parameters a scan kind takes); this module parses flags, checks only
@@ -23,6 +24,7 @@ numbers.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -247,17 +249,8 @@ def cmd_report(args) -> int:
         _emit_distribution(table, fmt)
     elif args.table == "ratios":
         report = stats.ratio_uniformity_report(records, bins=10 if args.bins is None else args.bins)
-        payload = {
-            "count": report.count,
-            "bins": report.bins,
-            "histogram": list(report.histogram),
-            "chi_squared": report.chi_squared,
-            "df": report.df,
-            "significance": report.significance,
-            "ks_statistic": report.ks_statistic,
-        }
         if fmt == "json":
-            print(json.dumps(payload, indent=2))
+            print(json.dumps(dataclasses.asdict(report), indent=2))
         elif fmt == "csv":
             print("bin,count")
             for i, c in enumerate(report.histogram):
@@ -378,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:  # OverflowError is no failed check
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

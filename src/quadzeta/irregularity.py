@@ -61,10 +61,9 @@ from .numtheory import (
 GRID_BLOCK = 1_000
 MILLION_BLOCK = 10_000
 PRIME_BLOCK = 1_000
-
-# Valuation capture depth for the divisor-sum scan: enough headroom above
-# the deepest divisibility ever observed, while keeping accumulators in int64.
-_TABLE3_CAP = {3: 19, 5: 13}
+# Most blocks in one scan: a reference scan has at most 100, and a range
+# that needs more could not allocate its blocks' own tables.
+MAX_BLOCKS = 1_000_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -320,16 +319,15 @@ def scan_range(kind: str, params: dict) -> tuple[str, int, int]:
 
 
 def _block_ranges(lo: int, hi: int, size: int) -> list[tuple[int, int]]:
-    """Partition [lo, hi) at multiples of size, independent of worker count."""
+    """Partition [lo, hi) at multiples of size, independent of worker count.
+    A range of more than MAX_BLOCKS blocks raises ValueError before any list is built."""
     if hi <= lo:
         return []
-    bounds = [lo]
-    nxt = (lo // size + 1) * size
-    while nxt < hi:
-        bounds.append(nxt)
-        nxt += size
-    bounds.append(hi)
-    return list(zip(bounds[:-1], bounds[1:]))
+    if (count := (hi - 1) // size - lo // size + 1) > MAX_BLOCKS:
+        raise ValueError(f"scan range [{lo}, {hi}) needs {count} blocks of {size}; "
+                         f"a scan takes at most {MAX_BLOCKS}")
+    bounds = [lo, *range((lo // size + 1) * size, hi, size), hi]
+    return list(zip(bounds, bounds[1:]))
 
 
 def compute_fixed_disc_block(d: int, p_lo: int, p_hi: int) -> IndexColumns:
@@ -365,14 +363,6 @@ def _exact_divisor_sum(d: int, sigma: SigmaTable) -> int:
     return total
 
 
-def _divisor_sum_valuations(sums: np.ndarray, discs: Sequence[int], sigma: SigmaTable,
-                            p: int) -> np.ndarray:
-    """v_p of the divisor sums of discs (sigma holds sigma_{2m-1}), from
-    sums known mod p^_TABLE3_CAP[p] (or exactly)."""
-    e = _TABLE3_CAP[p]
-    return _valuations(sums % p**e, p, e, lambda i, depth: _exact_divisor_sum(discs[i], sigma))
-
-
 def compute_table3_block(
     d_lo: int,
     d_hi: int,
@@ -387,17 +377,20 @@ def compute_table3_block(
     the column of each tested m (2m <= p - 1) is v_p(S_m) plus v_p of that
     constant ratio.  The sigma tables reach at least (d_hi - 1)/4; sigma3 is
     needed only for p = 5.  One pass gives S_1 exactly, for both primes, and
-    S_3 mod 5^_TABLE3_CAP[5].
+    S_3 mod 5^e; each v_p is read mod p^e at the kernel's depth
+    e = _max_np_exponent(p), a zero residue falling back to the exact sum.
     """
     sigmas = {1: sigma1, 2: sigma3}
     wanted = [(1, sigma1, None)]
     if 5 in primes:
-        wanted.append((2, sigma3, 5**_TABLE3_CAP[5]))
+        wanted.append((2, sigma3, 5**_max_np_exponent(5)))
     discs, sums = siegel_divisor_sums_mod(d_lo, d_hi, wanted)
     by_prime = []
     for p in primes:
+        e = _max_np_exponent(p)
         valuation = np.stack([
-            _divisor_sum_valuations(sums[:, m - 1], discs, sigmas[m], p)
+            _valuations(sums[:, m - 1] % p**e, p, e,
+                        lambda i, depth: _exact_divisor_sum(discs[i], sigmas[m]))
             + p_adic_valuation(Fraction(RIEMANN_RECIPROCAL[m], SIEGEL_DENOMINATOR[m]), p)
             for m in range(1, (p + 1) // 2)], axis=1)
         by_prime.append(_records(valuation, discs, p))

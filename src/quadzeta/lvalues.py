@@ -24,7 +24,7 @@ of D: a single b-loop over a stack of sigma columns, adding one contiguous
 slice per b into a contiguous buffer per residue class of D mod 4.  The
 exact sums run the 32-bit halves of the sigma values as two columns; a
 Table 3 block runs S_1 once, unreduced (exact in int64, and read for both
-v_3 and v_5), beside S_3 mod 5^13.  The coefficients are quarantined behind
+v_3 and v_5), beside S_3 mod 5^12.  The coefficients are quarantined behind
 a gate against the twisted-Bernoulli route, over power sums of the period
 table; call validate_siegel_gate() before trusting a large batch run.
 """
@@ -184,7 +184,7 @@ def siegel_divisor_sums_mod(
     None; either way it agrees with siegel_divisor_sums (tested).  The sigma
     values are reduced before they are summed, and the largest of them must
     keep every sum within int64, as it does for sigma_1 and for sigma_3 mod
-    5^13 below 10^6.
+    5^12 (Table 3's depth) below 10^6.
     """
     columns = []
     for m, sigma, modulus in sums:

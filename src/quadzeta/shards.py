@@ -221,19 +221,13 @@ def read_manifest(directory: Path) -> ScanManifest:
         elif key.startswith("param."):
             params[key[len("param.") :]] = value
         elif key.startswith("shard."):
-            try:  # every parse error names the manifest line
+            try:  # every parse error names the manifest line; a repeated key's last value wins
                 name, *attrs = value.split()
-                entry = ShardEntry(name=name, lo=0, hi=0)
-                for attr in attrs:
-                    k, _, v = attr.partition("=")
-                    if k == "lo":
-                        entry.lo = int(v)
-                    elif k == "hi":
-                        entry.hi = int(v)
-                    elif k == "sha256":
-                        entry.digest = "" if v == "-" else v
-                    elif k == "complete":
-                        entry.complete = bool(int(v))
+                attr = dict(a.partition("=")[::2] for a in attrs)
+                digest = attr.get("sha256", "-")
+                entry = ShardEntry(name, int(attr.get("lo", 0)), int(attr.get("hi", 0)),
+                                   "" if digest == "-" else digest,
+                                   bool(int(attr.get("complete", 0))))
             except ValueError as exc:
                 raise ValueError(f"{path}:{number}: {exc}") from None
             shards.append(entry)

@@ -347,9 +347,7 @@ def residue_histogram(values: Sequence[int], p: int) -> DistributionTable:
     """Counts of residues mod p against the uniform expectation N/p."""
     if not values:
         raise ValueError("no residues supplied")
-    counts = [0] * p
-    for v in values:
-        counts[v % p] += 1
+    counts = np.bincount(np.asarray(values) % p, minlength=p)
     n = len(values)
     return _table(f"residues-mod-{p}", n, [str(r) for r in range(p)], [float(c) for c in counts],
                   [n / p] * p, [1.0 / p] * p)

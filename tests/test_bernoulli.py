@@ -2,6 +2,7 @@ import ast
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from quadzeta import bernoulli
@@ -187,6 +188,13 @@ def test_exact_sums_cache_is_a_bounded_lru():
     assert cached(oldest)
     assert cached(discs[-1])
     assert not cached(discs[0])
+
+
+def test_factorials_take_int64_while_products_fit():
+    assert bernoulli._factorials(4019, 4019**2)[0].dtype == np.int64
+    assert bernoulli._factorials(4019, 4019**4)[0].dtype == object
+    fact, inv_fact = bernoulli._factorials(4019, 4019**4)
+    assert inv_fact.dtype == object and int(fact[4018] * inv_fact[4018] % 4019**4) == 1
 
 
 def test_int64_policy_lives_in_bernoulli():

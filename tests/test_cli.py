@@ -473,6 +473,27 @@ def test_rejected_input_is_a_usage_error(capsys, tmp_path, small_fixed, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "--kind", "fixed-disc", "--disc", "5", "--pmax", str(10**20)],
+    ["scan", "--kind", "grid", "--dmax", str(10**20), "--primes", "3"],
+    ["scan", "--kind", "million", "--dmax", str(10**20)],
+], ids=["fixed-disc", "grid", "million"])
+def test_a_scan_of_too_many_blocks_exits_2_at_once(capsys, tmp_path, argv):
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and err.startswith("error: scan range [") and "blocks" in err, err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_oversized_flag_is_a_usage_error(capsys, small_grid):
+    # numpy's OverflowError is an ArithmeticError, but no arithmetic check failed
+    code, _, err = run(capsys, "report", "--input", str(small_grid), "--table", "ratios",
+                       "--bins", str(10**20))
+    assert code == 2 and err.splitlines()[-1].startswith("error:"), err
+
+
 @pytest.mark.parametrize("table", ["1", "2", "3", "residues", "ratios"])
 def test_shard_tables_need_input(capsys, table):
     code, _, err = run(capsys, "report", "--table", table)

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import signal
+import time
 from pathlib import Path
 
 import numpy as np
@@ -225,16 +226,27 @@ def test_table3_block_matches_exact_kernel():
 
 
 def test_table3_zero_residues_take_the_exact_divisor_sum(monkeypatch):
-    # mod p every hit is a zero residue, so each valuation comes from the exact sum
-    monkeypatch.setattr(irregularity, "_TABLE3_CAP", {3: 1, 5: 1})
-    recs = compute_table3_block(2, 2000, (3, 5), divisor_sigma_sieve(1, 499),
-                                divisor_sigma_sieve(3, 499))
+    # mod p every hit is a zero residue, so each valuation comes from the exact sum;
+    # the depth is patched for the Table 3 block only, not for its grid reference
+    exact, exact_sum = [], irregularity._exact_divisor_sum
+
+    def counted(d, sigma):
+        exact.append(d)
+        return exact_sum(d, sigma)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(irregularity, "_max_np_exponent", lambda p: 1)
+        patch.setattr(irregularity, "_exact_divisor_sum", counted)
+        recs = compute_table3_block(2, 2000, (3, 5), divisor_sigma_sieve(1, 499),
+                                    divisor_sigma_sieve(3, 499))
+    assert len(exact) > 100
     assert recs == compute_grid_block(2, 2000, (3, 5))
     assert max(v for rec in recs for _, v in rec.hits) >= 3
 
 
 def test_table3_block_is_one_divisor_sum_pass(monkeypatch):
-    # S_1 (exact, for v_3 and v_5) and S_3 (mod 5^13) come from one call per block
+    # S_1 (exact, for v_3 and v_5) and S_3 (mod 5^12, the kernel's depth) come from
+    # one call per block
     calls = []
 
     def counted(*args):
@@ -297,6 +309,42 @@ def test_block_ranges_partition():
     assert blocks[-1] == (4000, 5000)
     assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
     assert _block_ranges(7, 7, 10) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 10**5), st.integers(1, 1000))
+@example(1000, 1000, 1000)
+@example(999, 2001, 1000)
+def test_block_ranges_cover_the_range_at_multiples_of_size(lo, width, size):
+    hi = lo + width
+    blocks = _block_ranges(lo, hi, size)
+    if not width:
+        assert blocks == []
+        return
+    assert blocks[0][0] == lo and blocks[-1][1] == hi
+    assert all(a < b for a, b in blocks)
+    assert all(a[1] == b[0] and a[1] % size == 0 for a, b in zip(blocks, blocks[1:]))
+    # no block has a multiple of size strictly inside it
+    assert all((a // size + 1) * size >= b for a, b in blocks)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("fixed-disc", {"disc": 5, "pmax": 10**20}),
+    ("grid", {"dmax": 10**20, "primes": (3,)}),
+    ("million", {"dmax": 10**20}),
+])
+def test_a_plan_of_too_many_blocks_is_refused_before_any_is_built(kind, params):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"scan range \[\d+, {10**20}\) needs \d+ blocks"):
+        scan_plan(kind, **params)
+    assert time.perf_counter() - start < 1
+
+
+def test_block_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(irregularity, "MAX_BLOCKS", 3)
+    assert _block_ranges(5, 30, 10) == [(5, 10), (10, 20), (20, 30)]
+    with pytest.raises(ValueError, match=r"scan range \[5, 31\) needs 4 blocks of 10"):
+        _block_ranges(5, 31, 10)
 
 
 def test_high_valuation_survey():

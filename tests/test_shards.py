@@ -319,6 +319,20 @@ def test_manifest_round_trip(tmp_path):
     back.validate_partition()
 
 
+@pytest.mark.parametrize("attrs, entry", [
+    ("complete=1 sha256=ab12 hi=2000 lo=1000", ShardEntry("b.csv", 1000, 2000, "ab12", True)),
+    ("lo=1000 hi=2000 size=9 sha256=ab12 complete=1", ShardEntry("b.csv", 1000, 2000, "ab12", True)),
+    ("lo=7 lo=1000 hi=2000 complete=1 complete=0", ShardEntry("b.csv", 1000, 2000, "", False)),
+    ("lo=1000 hi=2000 sha256=ab12", ShardEntry("b.csv", 1000, 2000, "ab12", False)),
+    ("lo=1000 hi=2000 sha256=- complete=1", ShardEntry("b.csv", 1000, 2000, "", True)),
+    ("", ShardEntry("b.csv", 0, 0, "", False)),
+], ids=["reordered", "unknown-key", "repeated-key", "no-complete", "no-digest", "no-attributes"])
+def test_manifest_shard_attributes(tmp_path, attrs, entry):
+    (tmp_path / "manifest.txt").write_text(f"kind=grid\nparam.dmax=2000\nshards=1\n"
+                                           f"shard.0000=b.csv {attrs}\n")
+    assert read_manifest(tmp_path).shards == [entry]
+
+
 @pytest.mark.parametrize("line, problem", [
     ("shard.0001=b.csv lo=x hi=2000 sha256=- complete=0", "invalid literal"),
     ("shard.0001=b.csv lo=1000 hi=2000 sha256=- complete=yes", "invalid literal"),
