@@ -12,12 +12,12 @@ with its digest and completion flag.  This module owns the scan directory:
 write_scan names, writes and resumes the shards of an irregularity.ScanPlan
 (and refuses a directory of another scan), and load_records reads them
 back.  The writers take IndexColumns only, as the block kernels return
-them, and shards are read back as IndexColumns; load_records joins a
-scan's shards into one.  A shard file is read or written once per
-operation, and only bytes in memory are checked: file_digest and
-read_index_shard take bytes, write_index_shard returns the digest of the
-bytes it wrote, and load_records and a resume digest the buffer they parse
-or count.
+them, and shards are read back as IndexColumns; load_records parses each
+of a scan's shards into its slice of one set of columns.  A shard file is
+read or written once per operation, and only bytes in memory are checked:
+file_digest and read_index_shard take bytes, write_index_shard returns the
+digest of the bytes it wrote, and load_records and a resume digest the
+buffer they parse or count (counting rows by the reader's line rule).
 
 The reader accepts the writer's grammar and nothing looser: every integer
 is -?[0-9]{1,18} (so int64 holds it exactly), with no space or "+", and a
@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .irregularity import IndexColumns, ScanPlan, scan_range
+from .irregularity import _COLUMNS, IndexColumns, ScanPlan, scan_range
 
 INDEX_HEADER = ["D", "p", "delta", "index", "hits"]
 PAIR_HEADER = ["p", "two_m", "D", "valuation"]
@@ -237,13 +237,21 @@ def read_manifest(directory: Path) -> ScanManifest:
 
 
 def load_records(directory: Path, allow_partial: bool = False) -> IndexColumns:
-    """Read every completed shard in range order; reject incomplete scans.
+    """Read every completed shard, in range order, into one set of columns;
+    reject incomplete scans.
 
     The manifest's shard spans must partition the scan range
     (ScanManifest.validate_partition).  A completed shard must carry a
     digest, and the one read of its file must match it and is what gets
     parsed.  Each record's block key (p for a fixed-disc scan, D otherwise)
     must lie in its shard's [lo, hi).
+
+    Two passes allocate the columns once.  The first reads and digests
+    every shard, keeps its bytes and counts its rows and hits, so a digest
+    mismatch in any shard is reported before a parse error in any.  The
+    second parses each shard into its slice of the columns and drops its
+    bytes.  The peak is the columns, the shard bytes not yet parsed and one
+    shard's parse, with no copy that joins parsed shards.
 
     Raises IncompleteScanError for a directory with no manifest, and for an
     incomplete scan unless allow_partial is set; report commands map that
@@ -256,22 +264,46 @@ def load_records(directory: Path, allow_partial: bool = False) -> IndexColumns:
     if not manifest.complete and not allow_partial:
         raise IncompleteScanError(f"scan in {directory} is incomplete")
     block_key = "prime" if manifest.kind == "fixed-disc" else "discriminant"
-    parts = []
-    for entry in sorted(manifest.shards, key=lambda s: s.lo):
-        if not entry.complete:
-            continue
-        if not entry.digest:
-            raise ValueError(f"shard {entry.name} is marked complete but has no digest")
-        path = directory / entry.name
-        data = path.read_bytes()
-        if file_digest(data) != entry.digest:
-            raise ValueError(f"digest mismatch for shard {entry.name}")
-        shard = read_index_shard(path, data)
+    entries = [entry for entry in sorted(manifest.shards, key=lambda s: s.lo) if entry.complete]
+    buffers = [_checked_read(directory, entry) for entry in entries]
+    rows = np.cumsum([0, *map(_row_count, buffers)])  # shard i's rows are rows[i]:rows[i + 1]
+    hits = np.cumsum([0, *(np.count_nonzero(np.frombuffer(b, np.uint8) == _COLON)
+                           for b in buffers)])  # and its hits hits[i]:hits[i + 1]
+    spans = [rows] * 4 + [hits] * 2  # the slice bounds of each column
+    out = IndexColumns(*(np.empty(n[-1], dtype=np.int64) for n in spans))
+    for i, entry in enumerate(entries):
+        shard = read_index_shard(directory / entry.name, buffers[i])
+        buffers[i] = None  # parsed: its bytes can go
+        if (len(shard), len(shard.two_m)) != (rows[i + 1] - rows[i], hits[i + 1] - hits[i]):
+            raise ValueError(f"shard {entry.name} does not hold the rows and hits counted in it")
         keys = getattr(shard, block_key)
         if len(keys) and (keys.min() < entry.lo or keys.max() >= entry.hi):
             raise ValueError(f"shard {entry.name} holds records outside [{entry.lo}, {entry.hi})")
-        parts.append(shard)
-    return IndexColumns.concatenate(parts)
+        for name, n in zip(_COLUMNS, spans):
+            getattr(out, name)[n[i]:n[i + 1]] = getattr(shard, name)
+        del shard, keys  # before the next parse allocates its own
+    return out
+
+
+def _checked_read(directory: Path, entry: ShardEntry) -> bytes:
+    """The bytes of a completed shard's one read, which must match its digest."""
+    if not entry.digest:
+        raise ValueError(f"shard {entry.name} is marked complete but has no digest")
+    data = (directory / entry.name).read_bytes()
+    if file_digest(data) != entry.digest:
+        raise ValueError(f"digest mismatch for shard {entry.name}")
+    return data
+
+
+def _row_count(data: bytes) -> int:
+    """The rows after the header of a shard's bytes, by the reader's line rule:
+    a line ends in LF, CRLF, a lone CR or the end of the file."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    cr = buf == _CR
+    ends = np.count_nonzero(cr) + np.count_nonzero(buf == _LF)
+    ends -= np.count_nonzero(buf[1:][cr[:-1]] == _LF)  # a CRLF ends one line
+    ends += bool(data) and not data.endswith((b"\n", b"\r"))  # so does the end of the file
+    return max(ends - 1, 0)
 
 
 def _shard_name(kind: str, lo: int, hi: int) -> str:
@@ -324,7 +356,7 @@ def write_scan(plan: ScanPlan, out: Path, workers: int = 1, resume: bool = False
                 continue  # recomputed, as a mismatched shard is
             if file_digest(data) == old.digest:
                 entry.digest, entry.complete = old.digest, True
-                total += data.count(b"\n") - 1
+                total += _row_count(data)
     pending = [entry for entry in manifest.shards if not entry.complete]
     results = replace(plan, blocks=[(entry.lo, entry.hi) for entry in pending],
                       task=partial(_write_block, plan.task, out, plan.kind)).run(workers)

@@ -319,10 +319,15 @@ class UniformityReport:
     ks_statistic: float
 
 
+# Most ratio bins: the histogram, its expected counts and the report hold
+# one entry per bin, so a larger count would allocate before any output.
+MAX_BINS = 1_000_000
+
+
 def ratio_uniformity_report(cols: IndexColumns, bins: int = 10) -> UniformityReport:
     """Equal-width-bin chi-squared and Kolmogorov-Smirnov distance for each hit's 2m/p."""
-    if bins < 2:
-        raise ValueError("need at least two bins")
+    if not 2 <= bins <= MAX_BINS:
+        raise ValueError(f"need from 2 to {MAX_BINS} bins, not {bins}")
     if not len(cols.two_m):
         raise ValueError("no irregular pairs supplied")
     values = np.sort(cols.two_m / cols.hit_rows(cols.prime))

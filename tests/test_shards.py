@@ -4,6 +4,7 @@ import hashlib
 import io
 import os
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -13,8 +14,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from quadzeta import shards
 from quadzeta.cli import main
-from quadzeta.irregularity import IndexColumns, IndexRecord, scan_plan
+from quadzeta.irregularity import _COLUMNS, IndexColumns, IndexRecord, scan_plan
 from quadzeta.shards import (
     INDEX_HEADER,
     PAIR_HEADER,
@@ -405,10 +407,63 @@ def test_load_records_requires_completion(tmp_path):
     write_manifest(tmp_path, manifest)
     with pytest.raises(IncompleteScanError):
         load_records(tmp_path)
-    assert len(load_records(tmp_path, allow_partial=True)) == 0
+    assert _same_columns(load_records(tmp_path, allow_partial=True), IndexColumns.from_records([]))
     manifest.shards[0].complete = True
     write_manifest(tmp_path, manifest)
     assert list(load_records(tmp_path)) == _records()
+
+
+@pytest.mark.parametrize("name", [name for name, (text, accepted) in _CORPUS.items() if accepted])
+def test_load_records_reads_what_the_reader_reads(tmp_path, name):
+    # the rows and hits counted before the parse size the columns, in every
+    # line-end form the reader accepts
+    data = _CORPUS[name][0].encode()
+    path = tmp_path / "s.csv"
+    path.write_bytes(data)
+    entry = ShardEntry("s.csv", 2, 10, file_digest(data), True)
+    write_manifest(tmp_path, ScanManifest("grid", _GRID_PARAMS, [entry]))
+    assert _same_columns(load_records(tmp_path), read_index_shard(path, data))
+
+
+def test_load_records_checks_every_digest_before_any_parse(tmp_path):
+    # the first shard does not parse; the second was changed after its digest
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    first.write_text(_CORPUS["duplicate"][0])  # line 3 repeats (5, 3)
+    write_index_shard(second, IndexColumns.from_records(_records()[2:]))  # D = 8
+    entries = [ShardEntry(path.name, lo, hi, file_digest(path.read_bytes()), True)
+               for path, lo, hi in [(first, 2, 6), (second, 6, 10)]]
+    write_manifest(tmp_path, ScanManifest("grid", _GRID_PARAMS, entries))
+    written = second.read_bytes()
+    second.write_bytes(written.replace(b"2:1", b"2:2"))
+    with pytest.raises(ValueError, match="digest mismatch for shard b.csv"):
+        load_records(tmp_path)
+    second.write_bytes(written)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(first))}:3: "):
+        load_records(tmp_path)
+
+
+def test_load_records_joins_no_parsed_shards(tmp_path, monkeypatch):
+    # each shard is parsed into its slice of columns allocated once, so from
+    # the end of the last parse the traced peak stays near the columns; a
+    # concatenation of the parsed shards would hold them twice
+    out = tmp_path / "scan"
+    write_scan(scan_plan("grid", dmax=2100, pmax=20), out)  # three blocks
+    parse = shards.read_index_shard
+
+    def parse_then_reset(path, data):
+        cols = parse(path, data)
+        tracemalloc.reset_peak()
+        return cols
+
+    monkeypatch.setattr(shards, "read_index_shard", parse_then_reset)
+    tracemalloc.start()
+    try:
+        cols = load_records(out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = sum(getattr(cols, name).nbytes for name in _COLUMNS)
+    assert len(cols) > 4000 and peak < 1.5 * columns, (peak, columns)
 
 
 def test_load_records_checks_digest(tmp_path):
