@@ -170,39 +170,33 @@ def _emit_distribution(
             payload["averages"] = _table_json(averages)
         print(json.dumps(payload, indent=2))
         return
-    if fmt == "csv":
-        if averages is None:
-            print("r,observed,expected,fraction")
-            for i, (o, e, f) in enumerate(zip(table.observed, table.expected, table.fractions)):
-                print(f"{i},{float(o)},{float(e)},{float(f)}")
-        else:
-            print("r,total,expected_total,average,expected_average,fraction")
-            for i in range(len(table.observed)):
-                print(
-                    f"{i},{float(table.observed[i])},{float(table.expected[i])},"
-                    f"{float(averages.observed[i])},{float(averages.expected[i])},"
-                    f"{float(table.fractions[i])}"
-                )
-        return
-    if averages is None:
-        print("r & number & predicted number & predicted fraction")
-        for i, (o, e, f) in enumerate(zip(table.observed, table.expected, table.fractions)):
-            print(f"{i} & {int(o)} & {_fmt_count(e)} & {_fmt_fraction(f)}")
-        print(f"chi-squared {table.chi_squared:.2f} (df {table.df}), "
-              f"significance {_fmt_fraction(table.significance, 3)}")
+    if averages is None:  # each column's CSV name, text name, text format and values
+        columns = [("observed", "number", int, table.observed),
+                   ("expected", "predicted number", _fmt_count, table.expected),
+                   ("fraction", "predicted fraction", _fmt_fraction, table.fractions)]
+        footers = [("", table, 2)]
     else:
-        print("r & total & predicted total & average & predicted average & fraction")
-        for i in range(len(table.observed)):
-            print(
-                f"{i} & {int(table.observed[i])} & {_fmt_count(table.expected[i])} & "
-                f"{_fmt_average(averages.observed[i], avg_decimals)} & "
-                f"{_fmt_average(averages.expected[i], avg_decimals)} & "
-                f"{_fmt_fraction(table.fractions[i])}"
-            )
-        print(f"totals chi-squared {table.chi_squared:.1f} (df {table.df}), "
-              f"significance {_fmt_fraction(table.significance, 3)}")
-        print(f"averages chi-squared {averages.chi_squared:.3f} (df {averages.df}), "
-              f"significance {_fmt_fraction(averages.significance, 3)}")
+        average = lambda x: _fmt_average(x, avg_decimals)
+        columns = [("total", "total", int, table.observed),
+                   ("expected_total", "predicted total", _fmt_count, table.expected),
+                   ("average", "average", average, averages.observed),
+                   ("expected_average", "predicted average", average, averages.expected),
+                   ("fraction", "fraction", _fmt_fraction, table.fractions)]
+        footers = [("totals ", table, 1), ("averages ", averages, 3)]
+    text = fmt == "text"
+    sep = " & " if text else ","
+    print(sep.join(["r", *(text_name if text else name for name, text_name, _, _ in columns)]))
+    for i in range(len(table.observed)):
+        print(sep.join([str(i), *(str(form(v[i]) if text else float(v[i]))
+                                  for _, _, form, v in columns)]))
+    for label, fitted, decimals in footers if text else ():
+        print(label + _chi_squared(fitted, decimals))
+
+
+def _chi_squared(fitted, decimals: int) -> str:
+    """The text footer of a chi-squared fit: a DistributionTable or a RatioReport."""
+    return (f"chi-squared {fitted.chi_squared:.{decimals}f} (df {fitted.df}), "
+            f"significance {_fmt_fraction(fitted.significance, 3)}")
 
 
 # the tables read from shards; the histogram is computed from --disc and --mod
@@ -257,17 +251,13 @@ def cmd_report(args) -> int:
                 print(f"{i},{c}")
         else:
             print(f"{report.count} ratios in {report.bins} bins: {list(report.histogram)}")
-            print(f"chi-squared {report.chi_squared:.3f} (df {report.df}), "
-                  f"significance {_fmt_fraction(report.significance, 3)}, "
-                  f"KS {report.ks_statistic:.4f}")
+            print(f"{_chi_squared(report, 3)}, KS {report.ks_statistic:.4f}")
     elif args.table == "histogram":
         # computed directly: index shards do not carry residues
         if args.disc is None or args.mod is None:
             raise CommandError("histogram report needs --disc and --mod")
         table = stats.residue_histogram(lvalues.l_chi_residues(args.disc, args.mod), args.mod)
         _emit_distribution(table, fmt)
-    else:
-        raise CommandError(f"unknown table {args.table!r}")
     return EXIT_OK
 
 

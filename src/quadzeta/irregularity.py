@@ -28,7 +28,6 @@ exact-rational loops (_exact_hits) remain as test oracles.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
@@ -429,9 +428,10 @@ class ScanPlan:
         # worker beyond the block count would never get one.  A dead worker
         # raises BrokenProcessPool; on any error map cancels the blocks not
         # started, and the pool's exit waits for the running ones.  Imported
-        # here, so that only a run with a pool loads it
+        # here, so that only a run with a pool loads them
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(min(workers, len(self.blocks)), mp.get_context("fork"),
+        from multiprocessing import get_context
+        with ProcessPoolExecutor(min(workers, len(self.blocks)), get_context("fork"),
                                  initializer=_pool_init, initargs=(self.task,)) as pool:
             yield from pool.map(_run_block, self.blocks)
 

@@ -17,7 +17,8 @@ of a scan's shards into its slice of one set of columns.  A shard file is
 read or written once per operation, and only bytes in memory are checked:
 file_digest and read_index_shard take bytes, write_index_shard returns the
 digest of the bytes it wrote, and load_records and a resume digest the
-buffer they parse or count (counting rows by the reader's line rule).
+buffer they parse or count (rows and hits are read off the schema: four
+commas per line, one colon per hit).
 
 The reader accepts the writer's grammar and nothing looser: every integer
 is -?[0-9]{1,18} (so int64 holds it exactly), with no space or "+", and a
@@ -266,9 +267,8 @@ def load_records(directory: Path, allow_partial: bool = False) -> IndexColumns:
     block_key = "prime" if manifest.kind == "fixed-disc" else "discriminant"
     entries = [entry for entry in sorted(manifest.shards, key=lambda s: s.lo) if entry.complete]
     buffers = [_checked_read(directory, entry) for entry in entries]
-    rows = np.cumsum([0, *map(_row_count, buffers)])  # shard i's rows are rows[i]:rows[i + 1]
-    hits = np.cumsum([0, *(np.count_nonzero(np.frombuffer(b, np.uint8) == _COLON)
-                           for b in buffers)])  # and its hits hits[i]:hits[i + 1]
+    # shard i's rows are rows[i]:rows[i + 1], and its hits hits[i]:hits[i + 1]
+    rows, hits = np.cumsum([(0, 0), *map(_shard_size, buffers)], axis=0).T
     spans = [rows] * 4 + [hits] * 2  # the slice bounds of each column
     out = IndexColumns(*(np.empty(n[-1], dtype=np.int64) for n in spans))
     for i, entry in enumerate(entries):
@@ -295,15 +295,13 @@ def _checked_read(directory: Path, entry: ShardEntry) -> bytes:
     return data
 
 
-def _row_count(data: bytes) -> int:
-    """The rows after the header of a shard's bytes, by the reader's line rule:
-    a line ends in LF, CRLF, a lone CR or the end of the file."""
+def _shard_size(data: bytes) -> tuple[int, int]:
+    """(rows after the header, hits) of a shard's bytes: the reader requires
+    five fields on every line, header included, so a shard that parses has
+    four commas per line and one colon per hit."""
     buf = np.frombuffer(data, dtype=np.uint8)
-    cr = buf == _CR
-    ends = np.count_nonzero(cr) + np.count_nonzero(buf == _LF)
-    ends -= np.count_nonzero(buf[1:][cr[:-1]] == _LF)  # a CRLF ends one line
-    ends += bool(data) and not data.endswith((b"\n", b"\r"))  # so does the end of the file
-    return max(ends - 1, 0)
+    lines = np.count_nonzero(buf == _COMMA) // (len(INDEX_HEADER) - 1)
+    return max(lines - 1, 0), np.count_nonzero(buf == _COLON)
 
 
 def _shard_name(kind: str, lo: int, hi: int) -> str:
@@ -332,11 +330,11 @@ def write_scan(plan: ScanPlan, out: Path, workers: int = 1, resume: bool = False
     out must name the same kind and params, and one that does not, or
     cannot be parsed, raises ValueError before anything is written; so a
     scan never leaves another scan's shards behind.  resume keeps each
-    complete shard of that manifest whose file (read once, for the digest
-    and the row count) matches its digest, and recomputes the others;
-    without it the scan is rewritten in place.  The bytes are those of a
-    fresh run at any worker count.  A worker count below 1 raises
-    ValueError before out is created.
+    block that manifest has complete if the shard this scan names for it
+    matches the recorded digest (one read, checked as load_records checks
+    it), and recomputes the others; without it the scan is rewritten in
+    place.  The bytes are those of a fresh run at any worker count.  A
+    worker count below 1 raises ValueError before out is created.
     """
     entries = [ShardEntry(_shard_name(plan.kind, lo, hi), lo, hi) for lo, hi in plan.blocks]
     manifest = ScanManifest(plan.kind, plan.params, entries)
@@ -345,18 +343,14 @@ def write_scan(plan: ScanPlan, out: Path, workers: int = 1, resume: bool = False
     if previous and (previous.kind, previous.params) != (manifest.kind, manifest.params):
         raise ValueError(f"{out} holds {_describe(previous)}, not {_describe(manifest)}")
     if resume and previous:
-        done = {(s.lo, s.hi): s for s in previous.shards if s.complete}
+        done = {(s.lo, s.hi): s.digest for s in previous.shards if s.complete}
         for entry in manifest.shards:
-            old = done.get((entry.lo, entry.hi))
-            if old is None:
-                continue
-            try:
-                data = (out / old.name).read_bytes()
-            except FileNotFoundError:
-                continue  # recomputed, as a mismatched shard is
-            if file_digest(data) == old.digest:
-                entry.digest, entry.complete = old.digest, True
-                total += _row_count(data)
+            entry.digest = done.get((entry.lo, entry.hi), "")
+            try:  # no digest, no file or another digest: the block is recomputed
+                total += _shard_size(_checked_read(out, entry))[0]
+                entry.complete = True
+            except (FileNotFoundError, ValueError):
+                entry.digest = ""
     pending = [entry for entry in manifest.shards if not entry.complete]
     results = replace(plan, blocks=[(entry.lo, entry.hi) for entry in pending],
                       task=partial(_write_block, plan.task, out, plan.kind)).run(workers)

@@ -37,6 +37,8 @@ def limit_fraction(r: int) -> float:
     """Limiting fraction of primes with irregularity index r."""
     if r < 0:
         raise ValueError("index must be nonnegative")
+    if r > 170:  # below 2e-361, so 0.0, and r! is past the float range
+        return 0.0
     return 0.5**r * math.exp(-0.5) / math.factorial(r)
 
 
@@ -52,8 +54,8 @@ def exact_index_distribution(p: int) -> list[Fraction]:
 
 def significance(statistic: float, df: int) -> float:
     """Upper-tail chi-squared probability Q(df/2, statistic/2)."""
-    if statistic < 0:
-        raise ValueError("statistic must be nonnegative")
+    if not (math.isfinite(statistic) and statistic >= 0):
+        raise ValueError(f"statistic must be finite and nonnegative, not {statistic}")
     if df < 1:
         raise ValueError("df must be positive")
     return _regularized_gamma_q(df / 2.0, statistic / 2.0)

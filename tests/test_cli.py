@@ -66,6 +66,12 @@ def test_stats_command(capsys):
     assert code == 0 and out.strip() == "0.606531"
     code, _, _ = run(capsys, "stats", "--chi2", "1.0")
     assert code == 2
+    code, out, _ = run(capsys, "stats", "--limit-fraction", "171")
+    assert code == 0 and out == "0.000000\n"
+    for chi2 in ("1e400", "nan"):  # inf and nan, as floats
+        code, out, err = run(capsys, "stats", "--chi2", chi2, "--df", "3")
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: statistic must be finite and nonnegative"), err
 
 
 def test_scan_validation_errors(capsys, tmp_path):
@@ -120,6 +126,25 @@ def test_scan_resume_is_byte_identical(tmp_path, small_grid):
     write_manifest(out, manifest)
     assert main([*SMALL_GRID, "--out", str(out), "--resume"]) == 0
     assert files(out) == files(small_grid)
+
+
+def test_resume_reads_each_kept_shard_under_its_own_name(tmp_path, small_grid):
+    # a manifest entry under another name must not mark the scan's own
+    # shard complete without a file behind it
+    out = tmp_path / "renamed"
+    assert main([*SMALL_GRID, "--out", str(out)]) == 0
+    manifest = read_manifest(out)
+    moved = manifest.shards[1]
+    (out / moved.name).rename(out / "other.csv")
+    moved.name = "other.csv"
+    write_manifest(out, manifest)
+    assert main([*SMALL_GRID, "--out", str(out), "--resume"]) == 0
+    resumed = read_manifest(out).shards
+    assert all(s.complete and file_digest((out / s.name).read_bytes()) == s.digest
+               for s in resumed)
+    assert len(load_records(out)) == len(load_records(small_grid))
+    assert {s.name: (out / s.name).read_bytes() for s in resumed} == {
+        name: data for name, data in files(small_grid).items() if name != MANIFEST_NAME}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -401,6 +426,14 @@ def small_fixed(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def small_million(tmp_path_factory):
+    out = tmp_path_factory.mktemp("smallmillion")
+    assert main(["scan", "--kind", "million", "--dmax", "30000", "--primes", "3,5",
+                 "--out", str(out)]) == 0
+    return out
+
+
 def test_report_table1_and_residue_classes(capsys, small_fixed):
     code, out, _ = run(capsys, "report", "--input", str(small_fixed), "--table", "1")
     assert code == 0 and "predicted fraction" in out
@@ -508,6 +541,7 @@ def _sha256(text):
 
 # sha256 of the stdout of the reports and surveys that read index columns,
 # on the fixtures above, pinned from the row-by-row reader the columns replaced
+# (Tables 2 and 3 from the per-format loops of the renderer before its column lists)
 _PINNED_REPORTS = {
     "table1-cutoff": ("small_fixed", ["--table", "1", "--pmax-cutoff", "200"], {
         "text": "6147e25d18acdb670c883f0e55fc61406095ba5e7fe469bab6a73a9fd8bd467c",
@@ -529,6 +563,14 @@ _PINNED_REPORTS = {
         "text": "0714c969ce28e3f4e9af65e6c3943fe63c9b9595e2bb2d5b1021d61fa48a4ca9",
         "csv": "0bfa0cc52d33da3cdd9efe8b90854121770a90d65bdfb956e2158226845a243a",
         "json": "b6fe1f851651d41b9b1b3ecd84749428c3a293794dba31fc7ca51e0ccc20886f"}),
+    "table2": ("small_grid", ["--table", "2"], {
+        "text": "77bc910bdfba23ae339029ff2e9e41d769eb9a97dbc7922f320f83c268a388fd",
+        "csv": "b0209152727333b07a45e6c30d2300adc23ea352ee2b7d72f48bea9d448c1ae1",
+        "json": "c52611626f1637830d6602ee10d702671fdb66ba3d6b1d52dd033117b329bb34"}),
+    "table3": ("small_million", ["--table", "3"], {
+        "text": "36139289c41672d87b7419316331e5a80f5fa1524b965e74ceaae3eec9208d38",
+        "csv": "4da9afd3bacc9f21e711847665d866941232cf7019f9fcfd92eaf7ed1eaee091",
+        "json": "d535e174f47b1828179cb348f4a125c5c0f1ac19ba26d7929250359d7104cb22"}),
 }
 
 

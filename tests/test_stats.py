@@ -33,6 +33,18 @@ def test_limit_fraction_values():
     assert abs(sum(limit_fraction(r) for r in range(40)) - 1.0) < 1e-12
 
 
+def test_limit_fraction_past_the_float_range_is_zero():
+    import os, subprocess, sys
+
+    assert limit_fraction(157) == limit_fraction(170) == limit_fraction(171) == 0.0
+    # r! itself is never built: 10^8! would take hours and hundreds of MB
+    src = str(Path(stats.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", "from quadzeta.stats import limit_fraction; "
+                           "print(limit_fraction(10**8))"], capture_output=True, text=True,
+                          timeout=30, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0 and proc.stdout == "0.0\n", proc.stderr
+
+
 def test_exact_index_distribution():
     assert exact_index_distribution(3) == [Fraction(2, 3), Fraction(1, 3)]
     assert exact_index_distribution(5) == [Fraction(16, 25), Fraction(8, 25), Fraction(1, 25)]
@@ -107,6 +119,12 @@ def test_significance_monotone_and_edges():
         s = significance(x, 3)
         assert s < last or (x == 0.0 and s == 1.0)
         last = s
+
+
+@pytest.mark.parametrize("statistic", [math.inf, math.nan, -math.inf, -0.5])
+def test_significance_needs_a_finite_nonnegative_statistic(statistic):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        significance(statistic, 3)
 
 
 def test_chi_squared_statistic_reference():
