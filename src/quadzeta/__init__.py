@@ -18,6 +18,7 @@ from .irregularity import (
     d_irregularity_index,
     delta,
     high_valuation_survey,
+    merge_surveys,
     scan_fixed_discriminant,
     scan_fixed_primes,
 )
@@ -42,6 +43,7 @@ from .numtheory import (
 from .stats import (
     AggregateReport,
     DistributionTable,
+    IndexTally,
     UniformityReport,
     aggregate_across_discriminants,
     build_distribution,
@@ -61,6 +63,7 @@ __all__ = [
     "DistributionTable",
     "IndexColumns",
     "IndexRecord",
+    "IndexTally",
     "SigmaTable",
     "UniformityReport",
     "aggregate_across_discriminants",
@@ -83,6 +86,7 @@ __all__ = [
     "l_chi_mod",
     "l_from_siegel",
     "limit_fraction",
+    "merge_surveys",
     "odd_primes_up_to",
     "p_adic_valuation",
     "ratio_uniformity_report",

@@ -13,12 +13,15 @@ the flag combinations argparse cannot express, and maps the library's
 exceptions to exit codes.  A scan plans with `irregularity.scan_plan`, the
 plan the library's scan functions run, with the flags as given, and hands
 it to `shards.write_scan`, which owns the scan directory: shard names, the
-manifest and --resume.  Reports and surveys read that directory through
-`shards.load_records`, without touching the compute modules again
-(the residue histogram is the one exception, since shards do not carry
-residues).  All text output is ASCII; table renderers round with the
-banker's rounding of format(), while JSON output carries full-precision
-numbers.
+manifest and --resume.  Reports and surveys fold that directory: each
+verified shard of `shards.iter_shards` is reduced to a `stats.IndexTally`
+(and, for a survey, to its deepest valuations and its pairs) and dropped,
+so no column of the whole scan is ever held; only the shard bytes, all
+read and digested before the first parse, grow with the scan.  They do
+not touch the compute modules again (the residue histogram is the one
+exception, since shards do not carry residues).  All text output is
+ASCII; table renderers round with the banker's rounding of format(),
+while JSON output carries full-precision numbers.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ import argparse
 import dataclasses
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -139,11 +144,12 @@ def _fmt_average(x, decimals: int = 2) -> str:
     return f"{x:.{decimals}f}"
 
 
-def _load(args) -> irregularity.IndexColumns:
+def _shards(args) -> Iterator[irregularity.IndexColumns]:
+    """The columns of each verified shard of --input, one shard at a time."""
     if args.input is None:
         raise CommandError(f"--table {args.table} needs --input")
     try:
-        return shards.load_records(Path(args.input), allow_partial=args.allow_partial)
+        return shards.iter_shards(Path(args.input), allow_partial=args.allow_partial)
     except shards.IncompleteScanError as exc:
         raise CommandError(str(exc), EXIT_INCOMPLETE) from exc
 
@@ -220,29 +226,32 @@ def cmd_report(args) -> int:
         if value is not None and value is not False and args.table not in tables:
             raise CommandError(f"--table {args.table} takes no {flag}")
     fmt = args.format
-    if args.table in _SHARD_TABLES:
-        records = _load(args)
-    if args.table == "1":
+    if args.table in _SHARD_TABLES:  # a fold: each shard is tallied and dropped
+        parts = _shards(args)
         if args.pmax_cutoff is not None:
-            records = records.take(np.flatnonzero(records.prime < args.pmax_cutoff))
-        table = stats.build_distribution(records, prediction="limit")
+            parts = (part.take(np.flatnonzero(part.prime < args.pmax_cutoff)) for part in parts)
+        tally = sum(map(stats.IndexTally.of, parts), stats.IndexTally())
+    if args.table == "1":
+        table = stats.build_distribution(tally, prediction="limit")
         _emit_distribution(table, fmt)
     elif args.table == "2":
-        report = stats.aggregate_across_discriminants(records, prediction="limit")
+        report = stats.aggregate_across_discriminants(tally, prediction="limit")
         _emit_distribution(report.totals, fmt, averages=report.averages)
     elif args.table == "3":
-        report = stats.aggregate_across_discriminants(records, prediction="exact")
+        report = stats.aggregate_across_discriminants(tally, prediction="exact")
         _emit_distribution(report.totals, fmt, averages=report.averages, avg_decimals=6)
     elif args.table == "residues":
-        if len(np.unique(records.discriminant)) != 1:
+        if not len(tally):
+            raise CommandError(f"residue-class report: no records in {args.input}")
+        if tally.discriminants != 1:
             raise CommandError("residue-class report needs a fixed-discriminant scan")
-        primes = np.unique(records.prime).tolist()
-        irregular = np.unique(records.prime[records.index > 0]).tolist()
+        primes = list(tally.by_prime())
+        irregular = sorted({p for _, p in tally.hits})
         modulus = 4 if args.classes_mod is None else args.classes_mod
         table = stats.residue_class_report(irregular, primes, modulus)
         _emit_distribution(table, fmt)
     elif args.table == "ratios":
-        report = stats.ratio_uniformity_report(records, bins=10 if args.bins is None else args.bins)
+        report = stats.ratio_uniformity_report(tally, bins=10 if args.bins is None else args.bins)
         if fmt == "json":
             print(json.dumps(dataclasses.asdict(report), indent=2))
         elif fmt == "csv":
@@ -262,19 +271,31 @@ def cmd_report(args) -> int:
 
 
 def cmd_survey(args) -> int:
-    records = _load(args)
-    if (records.valuation < 1).any():
-        raise CommandError("shards lack refined valuations")
-    best, attain = irregularity.high_valuation_survey(records, args.primes_single)
+    """A fold like the reports': each shard adds to a tally and a survey, and
+    --pairs-out gets its pairs, in a file renamed into place only at the end."""
+    parts = _shards(args)
+    tally = stats.IndexTally()
+    # the survey of no records, (0, []), once --primes is checked
+    survey = irregularity.high_valuation_survey(irregularity.IndexColumns.from_records([]),
+                                                args.primes_single)
+    with shards.pairs_csv(Path(args.pairs_out)) if args.pairs_out else nullcontext() as write:
+        for part in parts:
+            if (part.valuation < 1).any():
+                raise CommandError("shards lack refined valuations")
+            tally += stats.IndexTally.of(part)
+            survey = irregularity.merge_surveys(
+                survey, irregularity.high_valuation_survey(part, args.primes_single))
+            if write:
+                write(part)
+    best, attain = survey
     print(f"max valuation {best}")
     if attain:
         print("attained: " + "; ".join(f"D={d} 2m={two_m}" for d, two_m in attain))
-    top_index = int(records.index.max(initial=0))
-    count = int((records.index == top_index).sum())
+    top_index = max((k for _, k in tally.records), default=0)
+    count = sum(n for (_, k), n in tally.records.items() if k == top_index)
     print(f"largest index {top_index}, count {count}")
     if args.pairs_out:
-        shards.write_pairs_csv(Path(args.pairs_out), records)
-        print(f"wrote {len(records.two_m)} pairs to {args.pairs_out}")
+        print(f"wrote {sum(tally.hits.values())} pairs to {args.pairs_out}")
     return EXIT_OK
 
 

@@ -552,3 +552,11 @@ def high_valuation_survey(cols: IndexColumns, p: int) -> tuple[int, list[tuple[i
     attain = at_p & (cols.valuation == best)
     return best, list(zip(cols.hit_rows(cols.discriminant)[attain].tolist(),
                           cols.two_m[attain].tolist()))
+
+
+def merge_surveys(first: tuple[int, list[tuple[int, int]]],
+                  second: tuple[int, list[tuple[int, int]]]) -> tuple[int, list[tuple[int, int]]]:
+    """The high_valuation_survey of two record sets, the first's rows first,
+    from the survey of each: the deeper valuation's pairs, or both lists
+    at equal depth."""
+    return (first[0], first[1] + second[1]) if first[0] == second[0] else max(first, second)

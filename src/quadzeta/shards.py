@@ -10,15 +10,17 @@ written atomically (temp file then rename) so an interrupted scan never
 leaves a truncated shard behind; the manifest records one shard per line
 with its digest and completion flag.  This module owns the scan directory:
 write_scan names, writes and resumes the shards of an irregularity.ScanPlan
-(and refuses a directory of another scan), and load_records reads them
-back.  The writers take IndexColumns only, as the block kernels return
-them, and shards are read back as IndexColumns; load_records parses each
-of a scan's shards into its slice of one set of columns.  A shard file is
-read or written once per operation, and only bytes in memory are checked:
-file_digest and read_index_shard take bytes, write_index_shard returns the
-digest of the bytes it wrote, and load_records and a resume digest the
-buffer they parse or count (rows and hits are read off the schema: four
-commas per line, one colon per hit).
+(and refuses a directory of another scan), and two readers give them back
+as IndexColumns after one shared verification pass (_verified_shards):
+iter_shards yields one shard's columns at a time, what the reports and the
+survey fold into a tally, and load_records parses each shard into its
+slice of one set of columns.  The writers take IndexColumns only, as the
+block kernels return them; pairs_csv writes the irregular pairs of a fold
+shard by shard.  A shard file is read or written once per operation, and
+only bytes in memory are checked: file_digest and read_index_shard take
+bytes, write_index_shard returns the digest of the bytes it wrote, and the
+readers and a resume digest the buffer they parse or count (rows and hits
+are read off the schema: four commas per line, one colon per hit).
 
 The reader accepts the writer's grammar and nothing looser: every integer
 is -?[0-9]{1,18} (so int64 holds it exactly), with no space or "+", and a
@@ -33,11 +35,12 @@ from __future__ import annotations
 
 import hashlib
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import islice
 from pathlib import Path
-from typing import Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,10 +59,23 @@ def format_hits(hits: Sequence[tuple[int, int]]) -> str:
     return ";".join(f"{two_m}:{v}" for two_m, v in hits)
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
+@contextmanager
+def _atomic_file(path: Path) -> Iterator[BinaryIO]:
+    """A binary file beside path that becomes path when the block ends; if
+    the block raises, the file is removed and path is left as it was."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
+
+
+def _atomic_write(path: Path, data: bytes) -> None:
+    with _atomic_file(path) as fh:
+        fh.write(data)
 
 
 def write_index_shard(path: Path, cols: IndexColumns) -> str:
@@ -150,12 +166,27 @@ def _parse_integers(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     return values, good
 
 
+@contextmanager
+def pairs_csv(path: Path) -> Iterator[Callable[[IndexColumns], None]]:
+    """Write an irregular-pair CSV part by part: the block gets a function
+    that appends one p,two_m,D,valuation row per hit of some IndexColumns,
+    in row and hit order, each ending in CRLF.  The file becomes path only
+    if the block ends without error (_atomic_file)."""
+    with _atomic_file(path) as fh:
+        fh.write((",".join(PAIR_HEADER) + "\r\n").encode())
+
+        def write(cols: IndexColumns) -> None:
+            rows = zip(cols.hit_rows(cols.prime).tolist(), cols.two_m.tolist(),
+                       cols.hit_rows(cols.discriminant).tolist(), cols.valuation.tolist())
+            fh.write("".join(f"{p},{m},{d},{v}\r\n" for p, m, d, v in rows).encode())
+
+        yield write
+
+
 def write_pairs_csv(path: Path, cols: IndexColumns) -> None:
-    """One p,two_m,D,valuation row per hit, in row and hit order, ending in CRLF."""
-    rows = zip(cols.hit_rows(cols.prime).tolist(), cols.two_m.tolist(),
-               cols.hit_rows(cols.discriminant).tolist(), cols.valuation.tolist())
-    _atomic_write(path, (",".join(PAIR_HEADER) + "\r\n" + "".join(
-        f"{p},{m},{d},{v}\r\n" for p, m, d, v in rows)).encode())
+    """The irregular-pair CSV of one set of columns (pairs_csv)."""
+    with pairs_csv(path) as write:
+        write(cols)
 
 
 def file_digest(data: bytes) -> str:
@@ -241,18 +272,56 @@ def load_records(directory: Path, allow_partial: bool = False) -> IndexColumns:
     """Read every completed shard, in range order, into one set of columns;
     reject incomplete scans.
 
-    The manifest's shard spans must partition the scan range
-    (ScanManifest.validate_partition).  A completed shard must carry a
-    digest, and the one read of its file must match it and is what gets
-    parsed.  Each record's block key (p for a fixed-disc scan, D otherwise)
-    must lie in its shard's [lo, hi).
+    The shards are those iter_shards yields, checked the same way
+    (_verified_shards).  The columns are allocated once: the rows and hits
+    of every verified shard are counted off the schema, and each shard is
+    then parsed into its slice of the columns.  The peak is the columns,
+    the shard bytes not yet parsed and one shard's parse, with no copy
+    that joins parsed shards.  IncompleteScanError is raised as
+    _verified_shards says.
+    """
+    entries, buffers, parsed = _verified_shards(directory, allow_partial)
+    # shard i's rows are rows[i]:rows[i + 1], and its hits hits[i]:hits[i + 1]
+    rows, hits = np.cumsum([(0, 0), *map(_shard_size, buffers)], axis=0).T
+    spans = [rows] * 4 + [hits] * 2  # the slice bounds of each column
+    out = IndexColumns(*(np.empty(n[-1], dtype=np.int64) for n in spans))
+    for i, entry in enumerate(entries):
+        shard = next(parsed)
+        if (len(shard), len(shard.two_m)) != (rows[i + 1] - rows[i], hits[i + 1] - hits[i]):
+            raise ValueError(f"shard {entry.name} does not hold the rows and hits counted in it")
+        for name, n in zip(_COLUMNS, spans):
+            getattr(out, name)[n[i]:n[i + 1]] = getattr(shard, name)
+        del shard  # before the next parse allocates its own
+    return out
 
-    Two passes allocate the columns once.  The first reads and digests
-    every shard, keeps its bytes and counts its rows and hits, so a digest
-    mismatch in any shard is reported before a parse error in any.  The
-    second parses each shard into its slice of the columns and drops its
-    bytes.  The peak is the columns, the shard bytes not yet parsed and one
-    shard's parse, with no copy that joins parsed shards.
+
+def iter_shards(directory: Path, allow_partial: bool = False) -> Iterator[IndexColumns]:
+    """The columns of each completed shard, in range order, one shard at a
+    time: what a report folds, so that only its tally outlives a shard.
+
+    Every shard is read and verified before this returns, and its errors,
+    IncompleteScanError included, are raised here; each step then parses
+    one shard, drops its bytes and raises that shard's parse and key
+    errors (_verified_shards).
+    """
+    return _verified_shards(directory, allow_partial)[2]
+
+
+def _verified_shards(
+    directory: Path, allow_partial: bool
+) -> tuple[list[ShardEntry], list[bytes | None], Iterator[IndexColumns]]:
+    """The one verification pass of the shard readers: (entries, buffers,
+    parsed) for the completed shards of the scan in directory, in range order.
+
+    The manifest's shard spans must partition the scan range
+    (ScanManifest.validate_partition), and the scan must be complete
+    unless allow_partial is set.  Every completed shard is read once and
+    must carry a digest that its bytes match; buffers holds those bytes,
+    so a digest mismatch in any shard is reported before a parse error in
+    any.  parsed yields the columns of each shard in turn and drops its
+    bytes, once each record's key is checked: its block key (p for a
+    fixed-disc scan, D otherwise) lies in the shard's [lo, hi), and in a
+    fixed-disc scan its D is the scan's disc.
 
     Raises IncompleteScanError for a directory with no manifest, and for an
     incomplete scan unless allow_partial is set; report commands map that
@@ -264,25 +333,31 @@ def load_records(directory: Path, allow_partial: bool = False) -> IndexColumns:
     manifest.validate_partition()
     if not manifest.complete and not allow_partial:
         raise IncompleteScanError(f"scan in {directory} is incomplete")
-    block_key = "prime" if manifest.kind == "fixed-disc" else "discriminant"
+    disc = None
+    if manifest.kind == "fixed-disc":
+        try:
+            disc = int(manifest.params["disc"])
+        except (KeyError, ValueError):
+            raise ValueError(f"{directory / MANIFEST_NAME} gives the fixed-disc scan "
+                             "no integer disc") from None
     entries = [entry for entry in sorted(manifest.shards, key=lambda s: s.lo) if entry.complete]
-    buffers = [_checked_read(directory, entry) for entry in entries]
-    # shard i's rows are rows[i]:rows[i + 1], and its hits hits[i]:hits[i + 1]
-    rows, hits = np.cumsum([(0, 0), *map(_shard_size, buffers)], axis=0).T
-    spans = [rows] * 4 + [hits] * 2  # the slice bounds of each column
-    out = IndexColumns(*(np.empty(n[-1], dtype=np.int64) for n in spans))
-    for i, entry in enumerate(entries):
-        shard = read_index_shard(directory / entry.name, buffers[i])
-        buffers[i] = None  # parsed: its bytes can go
-        if (len(shard), len(shard.two_m)) != (rows[i + 1] - rows[i], hits[i + 1] - hits[i]):
-            raise ValueError(f"shard {entry.name} does not hold the rows and hits counted in it")
-        keys = getattr(shard, block_key)
-        if len(keys) and (keys.min() < entry.lo or keys.max() >= entry.hi):
-            raise ValueError(f"shard {entry.name} holds records outside [{entry.lo}, {entry.hi})")
-        for name, n in zip(_COLUMNS, spans):
-            getattr(out, name)[n[i]:n[i + 1]] = getattr(shard, name)
-        del shard, keys  # before the next parse allocates its own
-    return out
+    buffers: list[bytes | None] = [_checked_read(directory, entry) for entry in entries]
+
+    def parsed() -> Iterator[IndexColumns]:
+        for i, entry in enumerate(entries):
+            shard = read_index_shard(directory / entry.name, buffers[i])
+            buffers[i] = None  # parsed: its bytes can go
+            keys = shard.discriminant if disc is None else shard.prime
+            if len(keys) and (keys.min() < entry.lo or keys.max() >= entry.hi):
+                raise ValueError(
+                    f"shard {entry.name} holds records outside [{entry.lo}, {entry.hi})")
+            if disc is not None and (shard.discriminant != disc).any():
+                raise ValueError(
+                    f"shard {entry.name} holds records of a D other than the scan's {disc}")
+            yield shard
+            del shard, keys  # before the next parse allocates its own
+
+    return entries, buffers, parsed()
 
 
 def _checked_read(directory: Path, entry: ShardEntry) -> bytes:

@@ -14,17 +14,20 @@ The chi-squared statistic defaults to the grouping {0}, {1}, {2}, {>=3}
 singleton categories.  Significance is the upper-tail probability of the
 chi-squared distribution, Q(df/2, x/2).
 
-The index statistics and the 2m/p ratio report take IndexColumns, the
-form scans return and load_records reads (np.bincount on the index
-column, counts per prime, distinct discriminants, the hits' two_m over
-their rows' primes).  Expected counts stay exact Fraction sums.
+The index statistics and the 2m/p ratio report take an IndexTally: the
+records of some IndexColumns counted by (p, index), their hits by
+(2m, p), and their distinct discriminants.  Tallies add, so a report
+folds a scan's shards one at a time (shards.iter_shards) and holds only
+the tally, whatever the scan's length; every statistic comes out of the
+counts as it would from the whole columns.  Expected counts stay exact
+Fraction sums.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -181,20 +184,86 @@ def _table(
     )
 
 
-def observed_counts(cols: IndexColumns, r_max: int | None = None) -> list[int]:
+@dataclass(frozen=True)
+class IndexTally:
+    """What the index statistics read of a set of records, as counts that add.
+
+    records counts the records by (p, index) and hits the hits by (2m, p);
+    discriminants is the number of distinct D, and d_span the least and
+    the largest D (None without records).  a + b needs every D of a at
+    most every D of b, as in consecutive shards of a D-keyed scan, or the
+    shards of a fixed-disc scan's one D; then a D that ends a and starts b
+    is one discriminant, and the sum's distinct count is exact without a
+    set of D.  Adding out of D order raises ValueError.
+    """
+
+    records: Counter = field(default_factory=Counter)
+    hits: Counter = field(default_factory=Counter)
+    discriminants: int = 0
+    d_span: tuple[int, int] | None = None
+
+    @classmethod
+    def of(cls, cols: IndexColumns) -> IndexTally:
+        """The tally of the rows of cols."""
+        if not len(cols):
+            return cls()
+        return cls(_pair_counts(cols.prime, cols.index),
+                   _pair_counts(cols.two_m, cols.hit_rows(cols.prime)),
+                   _distinct(cols.discriminant),
+                   (int(cols.discriminant.min()), int(cols.discriminant.max())))
+
+    def __add__(self, other: IndexTally) -> IndexTally:
+        if other.d_span is None or self.d_span is None:
+            return other if self.d_span is None else self
+        (lo, last), (first, hi) = self.d_span, other.d_span
+        if last > first:
+            raise ValueError(f"tallies add in D order: D = {last} comes before D = {first}")
+        return IndexTally(self.records + other.records, self.hits + other.hits,
+                          self.discriminants + other.discriminants - (last == first), (lo, hi))
+
+    def __len__(self) -> int:
+        return sum(self.records.values())
+
+    def by_prime(self) -> dict[int, int]:
+        """Records per prime, in increasing order of p."""
+        counts = Counter()
+        for (p, _), n in self.records.items():
+            counts[p] += n
+        return dict(sorted(counts.items()))
+
+
+def _pair_counts(a: np.ndarray, b: np.ndarray) -> Counter:
+    """How many times each (a[i], b[i]) occurs: one np.unique on the int64
+    key (a - min a) * width + (b - min b), where width is the span of b.
+    Pairs whose key would pass int64 raise ValueError; no record set meets
+    them, since 2m and the index stay below p."""
+    if not len(a):
+        return Counter()
+    a0, b0 = int(a.min()), int(b.min())
+    width = int(b.max()) - b0 + 1
+    if (int(a.max()) - a0 + 1) * width > np.iinfo(np.int64).max:
+        raise ValueError("the pairs span more keys than int64 holds")
+    keys, counts = np.unique((a - a0) * width + (b - b0), return_counts=True)
+    pairs = zip((keys // width + a0).tolist(), (keys % width + b0).tolist())
+    return Counter(dict(zip(pairs, counts.tolist())))
+
+
+def observed_counts(tally: IndexTally, r_max: int | None = None) -> list[int]:
     """Records per index value 0, 1, ..., at least up to r_max."""
-    return np.bincount(cols.index, minlength=(r_max or 0) + 1).tolist()
+    counts = Counter()
+    for (_, k), n in tally.records.items():
+        counts[k] += n
+    return [counts[r] for r in range(max(max(counts, default=0), r_max or 0) + 1)]
 
 
-def expected_counts_exact(cols: IndexColumns, r_max: int) -> list[float]:
+def expected_counts_exact(tally: IndexTally, r_max: int) -> list[float]:
     """Sum of per-record binomial probabilities with T = (p-1)/2 trials.
 
     Uses the uniform trial count for every record, including D = p; that is
     the convention the reference tabulations follow.
     """
     totals = [Fraction(0)] * (r_max + 1)
-    primes, counts = np.unique(cols.prime, return_counts=True)
-    for p, count in zip(primes.tolist(), counts.tolist()):
+    for p, count in tally.by_prime().items():
         probs = exact_index_distribution(p)
         for r in range(min(r_max + 1, len(probs))):
             totals[r] += count * probs[r]
@@ -208,7 +277,7 @@ LIMIT_TAIL = 3
 EXACT_PRIME_BOUND = 100
 
 
-def build_distribution(cols: IndexColumns, prediction: str = "limit") -> DistributionTable:
+def build_distribution(tally: IndexTally, prediction: str = "limit") -> DistributionTable:
     """Distribution table for a homogeneous record stream.
 
     prediction "limit" uses the limiting fractions over the categories
@@ -217,29 +286,28 @@ def build_distribution(cols: IndexColumns, prediction: str = "limit") -> Distrib
     singletons up to the largest trial count (p - 1)/2, and raises
     ValueError on a prime above EXACT_PRIME_BOUND.
     """
-    if not len(cols):
+    size = len(tally)
+    if not size:
         return _table("empty", 0, (), (), (), ())
-    size = len(cols)
     if prediction == "limit":
-        counts = observed_counts(cols, LIMIT_TAIL)
+        counts = observed_counts(tally, LIMIT_TAIL)
         fractions = [limit_fraction(r) for r in range(len(counts))]
         expected = [size * f for f in fractions]
         labels, g_obs = group_indices(counts, LIMIT_TAIL)
         g_exp = expected[:LIMIT_TAIL] + [size * (1.0 - sum(fractions[:LIMIT_TAIL]))]
         grouped = (labels, [float(o) for o in g_obs], g_exp)
     elif prediction == "exact":
-        p_max = int(cols.prime.max())
+        p_max = max(tally.by_prime())
         if p_max > EXACT_PRIME_BOUND:
             raise ValueError(f"the exact prediction takes primes up to {EXACT_PRIME_BOUND}; "
                              f"the largest prime here is {p_max}")
-        counts = observed_counts(cols, (p_max - 1) // 2)
-        expected = expected_counts_exact(cols, len(counts) - 1)
+        counts = observed_counts(tally, (p_max - 1) // 2)
+        expected = expected_counts_exact(tally, len(counts) - 1)
         fractions = [e / size for e in expected]
         grouped = None  # the singleton rows themselves
     else:
         raise ValueError(f"unknown prediction mode {prediction!r}")
-    one_disc = _distinct(cols.discriminant) == 1
-    return _table("primes-fixed-D" if one_disc else "pairs-varying-D", size,
+    return _table("primes-fixed-D" if tally.discriminants == 1 else "pairs-varying-D", size,
                   [str(r) for r in range(len(counts))], [float(c) for c in counts], expected,
                   fractions, grouped)
 
@@ -260,7 +328,7 @@ class AggregateReport:
     discriminants: int
 
 
-def aggregate_across_discriminants(cols: IndexColumns, prediction: str = "limit") -> AggregateReport:
+def aggregate_across_discriminants(tally: IndexTally, prediction: str = "limit") -> AggregateReport:
     """Apply the averaged-counts methodology next to the plain totals.
 
     The averages table divides every observed and expected count by the
@@ -268,8 +336,8 @@ def aggregate_across_discriminants(cols: IndexColumns, prediction: str = "limit"
     means.  The result is a heuristic: dividing by a constant just rescales
     the statistic, so treat its significance as descriptive only.
     """
-    totals = build_distribution(cols, prediction)
-    n_disc = _distinct(cols.discriminant)
+    totals = build_distribution(tally, prediction)
+    n_disc = tally.discriminants
     if n_disc == 0:
         return AggregateReport(totals=totals, averages=totals, discriminants=0)
 
@@ -326,19 +394,28 @@ class UniformityReport:
 MAX_BINS = 1_000_000
 
 
-def ratio_uniformity_report(cols: IndexColumns, bins: int = 10) -> UniformityReport:
-    """Equal-width-bin chi-squared and Kolmogorov-Smirnov distance for each hit's 2m/p."""
+def ratio_uniformity_report(tally: IndexTally, bins: int = 10) -> UniformityReport:
+    """Equal-width-bin chi-squared and Kolmogorov-Smirnov distance for each hit's 2m/p.
+
+    The hits come as counts per (2m, p), so equal ratios are one run of
+    the sorted ratios: D+ = max(i/n - x_i) peaks at the last member of a
+    run and D- = max(x_i - (i-1)/n) at the first, and each is evaluated
+    there with the float expression of the per-hit form.
+    """
     if not 2 <= bins <= MAX_BINS:
         raise ValueError(f"need from 2 to {MAX_BINS} bins, not {bins}")
-    if not len(cols.two_m):
+    if not tally.hits:
         raise ValueError("no irregular pairs supplied")
-    values = np.sort(cols.two_m / cols.hit_rows(cols.prime))
-    n = len(values)
-    hist = np.bincount(np.minimum((values * bins).astype(np.int64), bins - 1), minlength=bins)
-    hist = hist.tolist()
+    pairs = np.array(list(tally.hits), dtype=np.int64)
+    values, run = np.unique(pairs[:, 0] / pairs[:, 1], return_inverse=True)
+    counts = np.bincount(run, weights=list(tally.hits.values())).astype(np.int64)
+    n = int(counts.sum())
+    ends = np.cumsum(counts)  # the rank of each run's last member, from 1
+    hist = np.bincount(np.minimum((values * bins).astype(np.int64), bins - 1), weights=counts,
+                       minlength=bins).astype(np.int64).tolist()
     stat = _chi_squared(hist, [n / bins] * bins)
-    d_plus = np.max(np.arange(1, n + 1) / n - values)
-    d_minus = np.max(values - np.arange(n) / n)
+    d_plus = np.max(ends / n - values)
+    d_minus = np.max(values - (ends - counts) / n)
     return UniformityReport(
         count=n,
         bins=bins,

@@ -2,6 +2,8 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
+import shutil
 import signal
 import time
 from pathlib import Path
@@ -633,6 +635,40 @@ def test_table1_cutoff_below_every_prime_is_the_empty_table(capsys, small_fixed)
                            "--pmax-cutoff", cutoff)
         assert code == 0
         assert _sha256(out) == "6220df185102de1fad191bd3263d3d64603569a464623681b64a44733fa18f6c"
+
+
+def test_residues_report_without_records_says_so(capsys, tmp_path, small_fixed):
+    # a fixed-disc scan with no completed shard has no records; it is no other scan kind
+    capsys.readouterr()  # a fixture made here prints its scan summary
+    manifest = read_manifest(small_fixed)
+    for entry in manifest.shards:
+        entry.complete = False
+    write_manifest(tmp_path, manifest)
+    code, out, err = run(capsys, "report", "--input", str(tmp_path), "--table", "residues",
+                         "--allow-partial")
+    assert code == 2 and out == "" and err == f"error: residue-class report: no records in {tmp_path}\n"
+
+
+def test_survey_renames_its_pairs_file_only_on_success(capsys, tmp_path, small_grid):
+    # the pairs are written shard by shard; a failure in the last shard leaves
+    # the old file and no temp file
+    capsys.readouterr()  # a fixture made here prints its scan summary
+    scan = tmp_path / "scan"
+    shutil.copytree(small_grid, scan)
+    manifest = read_manifest(scan)
+    last = manifest.shards[-1]
+    path = scan / last.name
+    path.write_bytes(re.sub(rb":1\b", b":0", path.read_bytes(), count=1))  # one hit of valuation 0
+    last.digest = file_digest(path.read_bytes())
+    write_manifest(scan, manifest)
+    pairs = tmp_path / "out" / "pairs.csv"
+    pairs.parent.mkdir()
+    pairs.write_text("old")
+    code, out, err = run(capsys, "survey", "--input", str(scan), "--primes", "3",
+                         "--pairs-out", str(pairs))
+    assert code == 2 and out == "" and "lack refined valuations" in err, err
+    assert [p.name for p in pairs.parent.iterdir()] == ["pairs.csv"]
+    assert pairs.read_text() == "old"
 
 
 def test_survey_command(capsys, small_fixed, tmp_path):

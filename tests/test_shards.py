@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from quadzeta import shards
 from quadzeta.cli import main
 from quadzeta.irregularity import _COLUMNS, IndexColumns, IndexRecord, scan_plan
+from quadzeta.stats import IndexTally
 from quadzeta.shards import (
     INDEX_HEADER,
     PAIR_HEADER,
@@ -25,6 +26,7 @@ from quadzeta.shards import (
     ShardEntry,
     file_digest,
     format_hits,
+    iter_shards,
     load_records,
     read_index_shard,
     read_manifest,
@@ -515,6 +517,31 @@ def test_load_records_rejects_records_outside_the_shard(tmp_path, kind, lo, hi):
         load_records(tmp_path)
 
 
+def test_fixed_disc_scan_rejects_records_of_another_d(tmp_path):
+    # a --disc 5 shard rewritten to D = 13, its digest fixed: the reader names the shard
+    out = tmp_path / "scan"
+    assert main(["scan", "--kind", "fixed-disc", "--disc", "5", "--pmax", "300",
+                 "--out", str(out)]) == 0
+    manifest = read_manifest(out)
+    entry = manifest.shards[0]
+    path = out / entry.name
+    path.write_bytes(re.sub(rb"(?m)^5,", b"13,", path.read_bytes()))
+    entry.digest = file_digest(path.read_bytes())
+    write_manifest(out, manifest)
+    problem = f"shard {entry.name} holds records of a D other than the scan's 5"
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        load_records(out)
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        list(iter_shards(out))
+    for table in ("1", "residues"):
+        assert main(["report", "--table", table, "--input", str(out)]) == 2
+    pmax_only = {"pmax": manifest.params["pmax"]}  # no D to check the rows against
+    for params in (pmax_only, {**pmax_only, "disc": "x"}):
+        write_manifest(out, replace(manifest, params=params))
+        with pytest.raises(ValueError, match="manifest.txt gives the fixed-disc scan no integer"):
+            load_records(out)
+
+
 @pytest.mark.parametrize("listed", [[0, 2], [0, 0, 1, 2], [1, 2], [0, 1]],
                          ids=["gap", "repeat", "no-first", "no-last"])
 def test_load_records_requires_a_partition(tmp_path, listed):
@@ -628,3 +655,35 @@ def test_each_operation_reads_a_shard_once(tmp_path, shard_reads, workers):
     assert shard_reads() == once
     for entry in read_manifest(out).shards:
         assert entry.digest == hashlib.sha256((out / entry.name).read_bytes()).hexdigest()
+
+
+def test_each_report_and_survey_reads_a_shard_once(tmp_path, shard_reads, capsys):
+    out = tmp_path / "scan"
+    write_scan(scan_plan("grid", dmax=2100, pmax=20), out)  # three blocks
+    once = {entry.name: 1 for entry in read_manifest(out).shards}
+    for argv in (["report", "--table", "1"], ["report", "--table", "2"],
+                 ["report", "--table", "3"], ["report", "--table", "ratios"],
+                 ["survey", "--primes", "3", "--pairs-out", str(tmp_path / "pairs.txt")]):
+        assert main([*argv, "--input", str(out)]) == 0, argv
+        assert shard_reads() == once, argv
+
+
+def test_report_fold_peak_stays_below_load_records(tmp_path):
+    # the fold holds the unparsed shard bytes, one shard's parse and a tally;
+    # load_records holds the whole scan's columns as well
+    out = tmp_path / "scan"
+    write_scan(scan_plan("million", dmax=100_000), out)
+    assert len(read_manifest(out).shards) == 10
+
+    def peak(read):
+        tracemalloc.start()
+        try:
+            read()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    whole = peak(lambda: load_records(out))
+    fold = peak(lambda: sum(map(IndexTally.of, iter_shards(out)), IndexTally()))
+    assert fold < 0.75 * whole, (fold, whole)
+

@@ -1,15 +1,18 @@
 import ast
 import math
+from functools import reduce
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadzeta import stats
-from quadzeta.irregularity import IndexColumns, IndexRecord
+from quadzeta.irregularity import IndexColumns, IndexRecord, high_valuation_survey, merge_surveys
 from quadzeta.stats import (
+    IndexTally,
     aggregate_across_discriminants,
     build_distribution,
     chi_squared_statistic,
@@ -146,7 +149,7 @@ def test_chi_squared_statistic_basics():
 
 def test_build_distribution_limit_mode():
     records = [_record(5, p, 0) for p in (3, 7, 11)] + [_record(5, 13, 1)]
-    table = build_distribution(IndexColumns.from_records(records), "limit")
+    table = build_distribution(IndexTally.of(IndexColumns.from_records(records)), "limit")
     assert table.population == "primes-fixed-D"
     assert table.size == 4
     assert table.observed[0] == 3 and table.observed[1] == 1
@@ -156,7 +159,7 @@ def test_build_distribution_limit_mode():
 
 def test_build_distribution_exact_mode():
     records = [_record(d, 3, 0, delta=2) for d in (5, 8, 12)] + [_record(13, 5, 1, delta=4)]
-    table = build_distribution(IndexColumns.from_records(records), "exact")
+    table = build_distribution(IndexTally.of(IndexColumns.from_records(records)), "exact")
     # categories padded to the largest trial count (T = 2 at p = 5)
     assert len(table.expected) == 3
     assert abs(table.expected[0] - (3 * 2 / 3 + 16 / 25)) < 1e-12
@@ -166,16 +169,19 @@ def test_build_distribution_exact_mode():
 def test_exact_prediction_stops_at_table_2_primes():
     # the exact binomials' common denominator grows with every distinct prime
     below = [_record(5, p, 0) for p in (3, 97)]
-    assert build_distribution(IndexColumns.from_records(below), "exact").size == 2
+    assert build_distribution(IndexTally.of(IndexColumns.from_records(below)), "exact").size == 2
     with pytest.raises(ValueError, match="largest prime here is 101"):
-        build_distribution(IndexColumns.from_records(below + [_record(5, 101, 0)]), "exact")
+        build_distribution(
+            IndexTally.of(IndexColumns.from_records(below + [_record(5, 101, 0)])), "exact")
     with pytest.raises(ValueError, match="largest prime here is 2003"):
-        aggregate_across_discriminants(IndexColumns.from_records([_record(8, 2003, 1)]), "exact")
-    assert build_distribution(IndexColumns.from_records([_record(5, 2003, 1)]), "limit").size == 1
+        aggregate_across_discriminants(
+            IndexTally.of(IndexColumns.from_records([_record(8, 2003, 1)])), "exact")
+    assert build_distribution(
+        IndexTally.of(IndexColumns.from_records([_record(5, 2003, 1)])), "limit").size == 1
 
 
 def test_build_distribution_empty():
-    table = build_distribution(IndexColumns.from_records([]), "limit")
+    table = build_distribution(IndexTally.of(IndexColumns.from_records([])), "limit")
     assert table.significance == 1.0
     assert table.size == 0
 
@@ -183,7 +189,8 @@ def test_build_distribution_empty():
 def test_aggregate_identities():
     records = [_record(5, p, i % 3) for i, p in enumerate((3, 5, 7, 11, 13, 17))]
     records += [_record(8, p, (i + 1) % 2) for i, p in enumerate((3, 5, 7, 11, 13, 17))]
-    report = aggregate_across_discriminants(IndexColumns.from_records(records), "limit")
+    report = aggregate_across_discriminants(
+        IndexTally.of(IndexColumns.from_records(records)), "limit")
     assert report.discriminants == 2
     for avg, tot in zip(report.averages.observed, report.totals.observed):
         assert avg * 2 == tot  # exact, Fraction arithmetic
@@ -192,7 +199,8 @@ def test_aggregate_identities():
 
 def test_aggregate_single_discriminant():
     records = [_record(5, p, 0) for p in (3, 7, 11, 13)]
-    report = aggregate_across_discriminants(IndexColumns.from_records(records), "limit")
+    report = aggregate_across_discriminants(
+        IndexTally.of(IndexColumns.from_records(records)), "limit")
     assert report.discriminants == 1
     assert list(report.averages.observed) == list(report.totals.observed)
     assert report.averages.chi_squared == pytest.approx(report.totals.chi_squared, rel=1e-12)
@@ -221,19 +229,19 @@ def test_residue_class_equal_split_is_zero():
 
 def test_ratio_uniformity_report():
     pairs = IndexColumns.from_records([IndexRecord(5, 37, 36, "chi", ((32, 1),))])
-    rep = ratio_uniformity_report(pairs, bins=2)
+    rep = ratio_uniformity_report(IndexTally.of(pairs), bins=2)
     u = 32 / 37
     assert abs(rep.ks_statistic - max(u, 1 - u)) < 1e-12
     with pytest.raises(ValueError):
-        ratio_uniformity_report(IndexColumns.from_records([]), bins=2)
+        ratio_uniformity_report(IndexTally.of(IndexColumns.from_records([])), bins=2)
     with pytest.raises(ValueError):
-        ratio_uniformity_report(pairs, bins=1)
+        ratio_uniformity_report(IndexTally.of(pairs), bins=1)
 
 
 def test_ratio_uniformity_bin_centers_zero_statistic():
     pairs = IndexColumns.from_records(
         [IndexRecord(5, 100, 99, "chi", tuple((n, 1) for n in (10, 30, 50, 70, 90)))])
-    rep = ratio_uniformity_report(pairs, bins=5)
+    rep = ratio_uniformity_report(IndexTally.of(pairs), bins=5)
     assert rep.chi_squared == 0.0
     assert rep.histogram == (1, 1, 1, 1, 1)
 
@@ -268,7 +276,8 @@ def _record_lists(draw):
 @settings(max_examples=80, deadline=None)
 @given(_record_lists(), st.sampled_from(["limit", "exact"]))
 def test_every_table_tests_its_grouped_rows(records, prediction):
-    report = aggregate_across_discriminants(IndexColumns.from_records(records), prediction)
+    report = aggregate_across_discriminants(
+        IndexTally.of(IndexColumns.from_records(records)), prediction)
     for table in (report.totals, report.averages):
         grouped = chi_squared_statistic(table.grouped_observed, table.grouped_expected,
                                         tail_from=None)
@@ -280,8 +289,8 @@ def test_every_table_tests_its_grouped_rows(records, prediction):
 
 def test_empty_and_one_class_tables():
     empty = IndexColumns.from_records([])
-    for table in (build_distribution(empty, "exact"),
-                  aggregate_across_discriminants(empty, "limit").averages):
+    for table in (build_distribution(IndexTally.of(empty), "exact"),
+                  aggregate_across_discriminants(IndexTally.of(empty), "limit").averages):
         assert (table.significance, table.df, table.chi_squared) == (1.0, 0, 0.0)
         assert table.grouped_labels == ()
     # 7 and 11 are both 3 mod 4: one class leaves no degree of freedom
@@ -304,3 +313,73 @@ def test_one_distribution_table_constructor():
                 if callee == "DistributionTable":
                     sites.append((path.name, owner.get(node)))
     assert sites == [("stats.py", "_table")]
+
+
+@st.composite
+def _sharded_columns(draw):
+    """D-sorted columns and consecutive shards of them.  Few D, p and 2m, so
+    one (2m, p), and so one ratio, recurs in several shards, and a cut may
+    fall inside the rows of one D or leave a shard empty."""
+    keys = draw(st.lists(st.tuples(st.sampled_from((5, 8, 12, 13, 17)),
+                                   st.sampled_from((3, 5, 7, 11, 13))),
+                         min_size=1, max_size=40, unique=True))
+    records = []
+    for d, p in sorted(keys):
+        two_ms = draw(st.lists(st.sampled_from(range(2, p, 2)), unique=True,
+                               max_size=min(4, (p - 1) // 2)))
+        hits = tuple((two_m, draw(st.integers(1, 3))) for two_m in sorted(two_ms))
+        records.append(IndexRecord(d, p, p - 1, "chi", hits))
+    cols = IndexColumns.from_records(records)
+    bounds = [0, *sorted(draw(st.lists(st.integers(0, len(cols)), max_size=6))), len(cols)]
+    return cols, [cols.take(np.arange(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _per_hit_uniformity(cols, bins):
+    """The 2m/p report from one sorted float per hit, as the whole columns gave it."""
+    values = np.sort(cols.two_m / cols.hit_rows(cols.prime))
+    n = len(values)
+    hist = np.bincount(np.minimum((values * bins).astype(np.int64), bins - 1), minlength=bins)
+    stat = stats._chi_squared(hist.tolist(), [n / bins] * bins)
+    d_plus = np.max(np.arange(1, n + 1) / n - values)
+    d_minus = np.max(values - np.arange(n) / n)
+    return stats.UniformityReport(n, bins, tuple(hist.tolist()), stat, bins - 1,
+                                  significance(stat, bins - 1), float(max(d_plus, d_minus)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sharded_columns(), st.integers(2, 12))
+def test_a_fold_over_shards_reports_the_whole_columns(sharded, bins):
+    cols, parts = sharded
+    whole = IndexTally.of(cols)
+    folded = sum(map(IndexTally.of, parts), IndexTally())
+    assert folded == whole
+    assert folded.discriminants == len(set(cols.discriminant.tolist()))
+    for prediction in ("limit", "exact"):
+        report = aggregate_across_discriminants(folded, prediction)
+        assert report == aggregate_across_discriminants(whole, prediction)
+        assert report.discriminants == folded.discriminants
+        assert report.totals == build_distribution(folded, prediction)
+        counts = np.bincount(cols.index, minlength=len(report.totals.observed))
+        assert report.totals.observed == tuple(float(c) for c in counts)
+    probs = [stats.exact_index_distribution(p) for p in cols.prime.tolist()]
+    expected = [sum(q[r] for q in probs if r < len(q))  # the exact prediction's
+                for r in range(len(report.totals.expected))]
+    assert report.totals.expected == tuple(float(e) for e in expected)
+    if len(cols.two_m):  # equal ratios in different shards: the KS distance's ties
+        assert ratio_uniformity_report(folded, bins) == _per_hit_uniformity(cols, bins)
+    for p in (3, 5, 7, 13):
+        surveys = (high_valuation_survey(part, p) for part in parts)
+        assert reduce(merge_surveys, surveys, (0, [])) == high_valuation_survey(cols, p)
+    top = max((k for _, k in folded.records), default=0)
+    assert (top, sum(n for (_, k), n in folded.records.items() if k == top)) == (
+        cols.index.max(), np.count_nonzero(cols.index == cols.index.max()))
+
+
+def test_tallies_add_in_discriminant_order():
+    five, eight = (IndexTally.of(IndexColumns.from_records([_record(d, 3, 1)])) for d in (5, 8))
+    assert (five + five).discriminants == 1  # the shards of one D
+    assert (five + eight).discriminants == 2 and (five + eight).d_span == (5, 8)
+    assert five + IndexTally() == IndexTally() + five == five
+    with pytest.raises(ValueError, match="D order"):
+        eight + five
+
